@@ -7,7 +7,7 @@
 // trajectory can be charted across PRs.
 //
 // Usage: bench_gpo_intern [--smoke] [--slow] [--max-seconds S] [--out FILE]
-//                         [--report FILE] [--parallel-out FILE]
+//                         [--report FILE]
 //   --smoke         small instances + tight budget (CI bench-smoke job)
 //   --slow          also run zdd-only memory-wall rows (nsdp:10, chain:18)
 //                   that the explicit backends cannot hold in RAM
@@ -15,16 +15,13 @@
 //   --out           JSON output path (default BENCH_gpo.json)
 //   --report        also write the schema-stable run report shared with
 //                   `julie --report` (bench/report_schema.json)
-//   --parallel-out  also sweep the work-stealing engine over 1/2/4/8 threads
-//                   and emit the scaling rows (BENCH_gpo_parallel.json)
 //
-// JSON schema (schema_version 4):
-//   { "schema_version": 4, "benchmark": "bench_gpo_intern", "smoke": bool,
+// JSON schema (schema_version 5):
+//   { "schema_version": 5, "benchmark": "bench_gpo_intern", "smoke": bool,
 //     "models": [ { "model": str, "states": int, "seed_wall_ms": float,
 //                   "interned_wall_ms": float, "zdd_wall_ms": float,
 //                   "speedup": float, "mcs_enum_ms": float,
-//                   "family_ops_ms": float, "intern_wait_ns_p50": int,
-//                   "intern_wait_ns_p99": int, "peak_families": int,
+//                   "family_ops_ms": float, "peak_families": int,
 //                   "intern_calls": int, "dedup_ratio": float,
 //                   "op_cache_hit_rate": float, "families_bytes": int,
 //                   "zdd_families_bytes": int, "zdd_nodes": int,
@@ -36,10 +33,7 @@
 //   The per-phase columns split the interned run's wall: mcs_enum_ms is the
 //   candidate-MCS enumeration (plan_expansion incl. trial m_updates, the
 //   engine's mcs_seconds timer), family_ops_ms the deadlock checks plus
-//   successor construction (family_ops_seconds). intern_wait_ns_p50/p99 are
-//   genuine wait episodes inside the lock-free interner (publish-spins,
-//   migration waits) — 0 when the run never waited, which is the expected
-//   sequential value.
+//   successor construction (family_ops_seconds).
 //   zdd_only rows skip the explicit/interned runs (their seed/interned
 //   columns are 0) — they exist to chart the memory wall the ZDD store
 //   breaks. peak_rss_bytes is the process high-water mark sampled after the
@@ -54,27 +48,13 @@
 //   replayed on the original net) folds into verdicts_match, so any
 //   unsoundness in the pipeline fails the benchmark. zdd_only rows report
 //   the shrink but skip the reduced engine re-run (reduced_wall_ms 0).
-// Parallel sweep schema (schema_version 2):
-//   { "schema_version": 2, "benchmark": "bench_gpo_parallel", "smoke": bool,
-//     "host_cpus": int,
-//     "models": [ { "model": str, "threads": int, "states": int,
-//                   "wall_ms": float, "states_per_second": float,
-//                   "speedup_vs_1t": float, "steals": int,
-//                   "fork_tasks": int, "peak_frontier": int,
-//                   "verdict_matches_sequential": bool } ] }
-//   fork_tasks counts the intra-state range tasks the analyzer forked onto
-//   the pool (candidate checks, per-transition terms, reduction-tree
-//   levels) — the fine-grained layer that actually scales on the paper's
-//   2-18-state graphs where the per-state layer has nothing to steal.
 // Exit status: 0 on success, 1 on any verdict mismatch.
-#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/gpo.hpp"
@@ -94,11 +74,9 @@ struct Row {
   double interned_ms = 0;
   double zdd_ms = 0;
   /// Interned-run phase split (from the engine's mcs_seconds /
-  /// family_ops_seconds timers) and interner wait-episode percentiles.
+  /// family_ops_seconds timers).
   double mcs_enum_ms = 0;
   double family_ops_ms = 0;
-  std::uint64_t intern_wait_ns_p50 = 0;
-  std::uint64_t intern_wait_ns_p99 = 0;
   std::size_t peak_families = 0;
   std::size_t intern_calls = 0;
   double dedup_ratio = 0;
@@ -155,13 +133,6 @@ Row run_row(const std::string& label, const PetriNet& net, double budget,
           reg->value("intern.mcs_seconds").value_or(0.0) * 1000.0;
       row.family_ops_ms =
           reg->value("intern.family_ops_seconds").value_or(0.0) * 1000.0;
-      for (const auto& s : reg->snapshot("intern.intern_wait_ns")) {
-        if (s.kind != gpo::obs::MetricKind::kHistogram) continue;
-        row.intern_wait_ns_p50 =
-            static_cast<std::uint64_t>(s.p50 * 1e9 + 0.5);
-        row.intern_wait_ns_p99 =
-            static_cast<std::uint64_t>(s.p99 * 1e9 + 0.5);
-      }
     }
   }
 
@@ -263,96 +234,9 @@ std::string json_number(double v) {
   return ss.str();
 }
 
-// -- thread-scaling sweep (--parallel-out) ----------------------------------
-
-struct ParallelRow {
-  std::string model;
-  std::size_t threads = 1;
-  std::size_t states = 0;
-  double wall_ms = 0;
-  double speedup_vs_1t = 1.0;
-  std::size_t steals = 0;
-  std::size_t fork_tasks = 0;
-  std::size_t peak_frontier = 0;
-  bool verdict_matches = true;
-};
-
-std::vector<ParallelRow> run_thread_sweep(const std::string& label,
-                                          const PetriNet& net, double budget,
-                                          bool& all_match) {
-  std::vector<ParallelRow> rows;
-  gpo::core::GpoResult base;
-  for (std::size_t threads : {1u, 2u, 4u, 8u}) {
-    gpo::core::GpoOptions opt;
-    opt.max_seconds = budget;
-    opt.num_threads = threads;
-    gpo::util::Stopwatch timer;
-    auto r = gpo::core::run_gpo(net, gpo::core::FamilyKind::kInterned, opt);
-    ParallelRow row;
-    row.model = label;
-    row.threads = threads;
-    row.states = r.state_count;
-    row.wall_ms = timer.elapsed_seconds() * 1000.0;
-    row.steals = r.parallel.steal_count;
-    row.fork_tasks = r.parallel.fork_tasks;
-    row.peak_frontier = r.parallel.peak_frontier;
-    if (threads == 1) {
-      base = r;
-    } else {
-      row.speedup_vs_1t =
-          row.wall_ms > 0 ? rows.front().wall_ms / row.wall_ms : 0.0;
-      row.verdict_matches = r.deadlock_found == base.deadlock_found &&
-                            r.state_count == base.state_count &&
-                            r.limit_hit == base.limit_hit;
-    }
-    all_match &= row.verdict_matches;
-    std::cout << std::left << std::setw(12) << row.model << std::right
-              << std::setw(4) << row.threads << "t" << std::setw(8)
-              << row.states << std::setw(12) << std::fixed
-              << std::setprecision(2) << row.wall_ms << std::setw(8)
-              << std::setprecision(2) << row.speedup_vs_1t << "x"
-              << std::setw(9) << row.steals << std::setw(9) << row.fork_tasks
-              << std::setw(10) << row.peak_frontier
-              << (row.verdict_matches ? "" : "  VERDICT MISMATCH") << "\n";
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
-void write_parallel_json(std::ostream& out,
-                         const std::vector<ParallelRow>& rows, bool smoke) {
-  out << "{\n"
-      << "  \"schema_version\": 2,\n"
-      << "  \"benchmark\": \"bench_gpo_parallel\",\n"
-      << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
-      << "  \"host_cpus\": " << std::thread::hardware_concurrency() << ",\n"
-      << "  \"models\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const ParallelRow& r = rows[i];
-    out << "    {\n"
-        << "      \"model\": \"" << r.model << "\",\n"
-        << "      \"threads\": " << r.threads << ",\n"
-        << "      \"states\": " << r.states << ",\n"
-        << "      \"wall_ms\": " << json_number(r.wall_ms) << ",\n"
-        << "      \"states_per_second\": "
-        << json_number(r.wall_ms > 0
-                           ? static_cast<double>(r.states) / (r.wall_ms / 1000.0)
-                           : 0.0)
-        << ",\n"
-        << "      \"speedup_vs_1t\": " << json_number(r.speedup_vs_1t) << ",\n"
-        << "      \"steals\": " << r.steals << ",\n"
-        << "      \"fork_tasks\": " << r.fork_tasks << ",\n"
-        << "      \"peak_frontier\": " << r.peak_frontier << ",\n"
-        << "      \"verdict_matches_sequential\": "
-        << (r.verdict_matches ? "true" : "false") << "\n"
-        << "    }" << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "  ]\n}\n";
-}
-
 void write_json(std::ostream& out, const std::vector<Row>& rows, bool smoke) {
   out << "{\n"
-      << "  \"schema_version\": 4,\n"
+      << "  \"schema_version\": 5,\n"
       << "  \"benchmark\": \"bench_gpo_intern\",\n"
       << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n"
       << "  \"models\": [\n";
@@ -369,8 +253,6 @@ void write_json(std::ostream& out, const std::vector<Row>& rows, bool smoke) {
         << "      \"mcs_enum_ms\": " << json_number(r.mcs_enum_ms) << ",\n"
         << "      \"family_ops_ms\": " << json_number(r.family_ops_ms)
         << ",\n"
-        << "      \"intern_wait_ns_p50\": " << r.intern_wait_ns_p50 << ",\n"
-        << "      \"intern_wait_ns_p99\": " << r.intern_wait_ns_p99 << ",\n"
         << "      \"peak_families\": " << r.peak_families << ",\n"
         << "      \"intern_calls\": " << r.intern_calls << ",\n"
         << "      \"dedup_ratio\": " << json_number(r.dedup_ratio) << ",\n"
@@ -403,7 +285,6 @@ int main(int argc, char** argv) {
   double budget = 60.0;
   std::string out_path = "BENCH_gpo.json";
   std::string report_path;
-  std::string parallel_out_path;
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--smoke")) smoke = true;
     if (!std::strcmp(argv[i], "--slow")) slow = true;
@@ -412,8 +293,6 @@ int main(int argc, char** argv) {
     if (!std::strcmp(argv[i], "--out") && i + 1 < argc) out_path = argv[++i];
     if (!std::strcmp(argv[i], "--report") && i + 1 < argc)
       report_path = argv[++i];
-    if (!std::strcmp(argv[i], "--parallel-out") && i + 1 < argc)
-      parallel_out_path = argv[++i];
   }
   if (smoke && budget > 5.0) budget = 5.0;
 
@@ -510,26 +389,6 @@ int main(int argc, char** argv) {
     }
     report.write(rout, nullptr, nullptr);
     std::cout << "report written to " << report_path << "\n";
-  }
-  if (!parallel_out_path.empty()) {
-    std::cout << "\nthread sweep (fork-join gpo-intern):\n"
-              << std::left << std::setw(12) << "model" << std::right
-              << std::setw(5) << "thr" << std::setw(8) << "states"
-              << std::setw(12) << "wall-ms" << std::setw(9) << "vs-1t"
-              << std::setw(9) << "steals" << std::setw(9) << "forks"
-              << std::setw(10) << "peak-fr" << "\n";
-    std::vector<ParallelRow> prows;
-    for (const Instance& inst : instances) {
-      auto r = run_thread_sweep(inst.label, inst.net, budget, all_match);
-      prows.insert(prows.end(), r.begin(), r.end());
-    }
-    std::ofstream pout(parallel_out_path);
-    if (!pout) {
-      std::cerr << "cannot write " << parallel_out_path << "\n";
-      return 1;
-    }
-    write_parallel_json(pout, prows, smoke);
-    std::cout << "JSON written to " << parallel_out_path << "\n";
   }
   if (!all_match) {
     std::cerr << "ERROR: verdict mismatch\n";

@@ -12,10 +12,7 @@ shape):
 
   * bench documents ("benchmark": "bench_gpo_intern"): rows are matched
     by model; the compared walls are interned_wall_ms and zdd_wall_ms,
-    the compared memory is peak_rss_bytes. Thread-sweep documents
-    ("benchmark": "bench_gpo_parallel") are matched by model@Nt and
-    compared on wall_ms — the CI thread-sweep job uses this to gate the
-    1-thread rows of a PR against the checked-in sequential baseline.
+    the compared memory is peak_rss_bytes.
   * run reports (bench/report_schema.json): engines[] entries are
     matched by (engine, model) and compared on seconds; jobs[] entries
     are matched by model and compared on seconds; memory is
@@ -43,23 +40,11 @@ def is_bench(doc):
 
 
 def bench_rows(doc):
-    """{model: {measure_name: value}} for a bench document.
-
-    bench_gpo_intern rows are keyed by model; bench_gpo_parallel rows
-    (they carry a "threads" field) by "model@Nt" with wall_ms as the
-    measure, so a sweep can be compared against a sweep — or its 1-thread
-    rows against a bench_gpo_intern baseline by renaming, which the CI
-    thread-sweep job sidesteps by comparing sweep-to-sweep.
-    """
+    """{model: {measure_name: value}} for a bench document."""
     rows = {}
     for row in doc.get("models", []):
         model = row.get("model", "?")
         measures = {}
-        if "threads" in row:
-            model = f'{model}@{row["threads"]}t'
-            v = row.get("wall_ms")
-            if isinstance(v, (int, float)) and v > 0:
-                measures["wall_ms"] = float(v)
         for key in ("interned_wall_ms", "zdd_wall_ms"):
             v = row.get(key)
             if isinstance(v, (int, float)) and v > 0:

@@ -11,13 +11,9 @@
 // covered by bench/ablation_family).
 //
 // Usage: bench_table1 [--quick] [--max-seconds S] [--csv FILE] [--threads N]
-//                     [--gpo-threads N] [--report FILE] [--reduce L]
+//                     [--report FILE] [--reduce L]
 // --threads N runs the exhaustive "States" column on the parallel sharded
 // explorer with N workers (counts are identical to the sequential engine).
-// --gpo-threads N runs the "GPO" column on the work-stealing interned-family
-// engine with N workers (again count-identical; with N=1 the column switches
-// from the BDD family to the sequential interned engine so the comparison
-// stays within one representation).
 // --report FILE additionally writes the schema-stable JSON run report
 // (bench/report_schema.json) shared with `julie --report`.
 // --reduce L (safe|aggressive) runs the structural net-reduction pipeline
@@ -81,7 +77,7 @@ std::string fmt_time(const Cell& c) {
 }
 
 Row run_row(const std::string& name, const PetriNet& net, double budget,
-            std::size_t threads, std::size_t gpo_threads,
+            std::size_t threads,
             gpo::obs::MetricsRegistry* reg) {
   // Each engine publishes its counters under its default prefix ("full.",
   // "por.", "bdd.", "gpo.") into the per-row registry for --report.
@@ -119,12 +115,7 @@ Row run_row(const std::string& name, const PetriNet& net, double budget,
     gpo::core::GpoOptions opt;
     opt.max_seconds = budget;
     opt.metrics = reg;
-    opt.num_threads = gpo_threads > 0 ? gpo_threads : 1;
-    // --gpo-threads selects the interned family (the parallel-capable
-    // representation); the default column stays on the BDD family.
-    auto kind = gpo_threads > 0 ? gpo::core::FamilyKind::kInterned
-                                : gpo::core::FamilyKind::kBdd;
-    auto r = gpo::core::run_gpo(net, kind, opt);
+    auto r = gpo::core::run_gpo(net, gpo::core::FamilyKind::kBdd, opt);
     row.gpo = {static_cast<double>(r.state_count), r.seconds, r.limit_hit,
                r.deadlock_found};
     row.gpo_delegated = r.delegated_states;
@@ -155,7 +146,6 @@ int main(int argc, char** argv) {
   double budget = 60.0;
   bool quick = false;
   std::size_t threads = 1;
-  std::size_t gpo_threads = 0;  // 0 = GPO column on the default BDD family
   gpo::reduce::ReduceLevel reduce_level = gpo::reduce::ReduceLevel::kOff;
   std::string csv_path = "table1_results.csv";
   std::string report_path;
@@ -169,10 +159,6 @@ int main(int argc, char** argv) {
     if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
       threads = std::stoul(argv[++i]);
       if (threads == 0) threads = 1;
-    }
-    if (!std::strcmp(argv[i], "--gpo-threads") && i + 1 < argc) {
-      gpo_threads = std::stoul(argv[++i]);
-      if (gpo_threads == 0) gpo_threads = 1;
     }
     if (!std::strcmp(argv[i], "--reduce") && i + 1 < argc) {
       auto level = gpo::reduce::parse_reduce_level(argv[++i]);
@@ -235,10 +221,6 @@ int main(int argc, char** argv) {
   if (threads > 1)
     std::cout << "(exhaustive column: parallel explorer, " << threads
               << " threads)\n";
-  if (gpo_threads > 0)
-    std::cout << "(GPO column: work-stealing interned-family engine, "
-              << gpo_threads << " thread" << (gpo_threads > 1 ? "s" : "")
-              << ")\n";
   const bool reducing = reduce_level != gpo::reduce::ReduceLevel::kOff;
   if (reducing)
     std::cout << "(all engines run on the "
@@ -282,7 +264,7 @@ int main(int argc, char** argv) {
       reduced.emplace(std::move(red.net));
       net = &*reduced;
     }
-    Row row = run_row(inst.label, *net, budget, threads, gpo_threads,
+    Row row = run_row(inst.label, *net, budget, threads,
                       report_path.empty() ? nullptr : &reg);
     row.places_before = red_stats.places_before;
     row.places_after = red_stats.places_after;

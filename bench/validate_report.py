@@ -11,7 +11,7 @@ items, enum, minimum, additionalProperties, and $ref into #/definitions.
 No third-party jsonschema dependency, so CI can run it on a bare runner.
 Exit status 0 iff the document validates; errors go to stderr.
 
---bench validates the bench_gpo_intern output instead (schema_version 4,
+--bench validates the bench_gpo_intern output instead (schema_version 5,
 field presence/types, every verdicts_match true) and enforces the
 checked-in memory gate: the nsdp:6 row's zdd_families_bytes must stay
 under NSDP6_ZDD_BYTES_MAX. The gate is the regression tripwire for the
@@ -42,13 +42,10 @@ BENCH_ROW_FIELDS = {
     "interned_wall_ms": (int, float),
     "zdd_wall_ms": (int, float),
     "speedup": (int, float),
-    # Per-phase split of the interned run (schema_version 4): candidate-MCS
-    # enumeration vs family-op wall, and the interner's wait-episode
-    # percentiles (0 on sequential runs, which never wait).
+    # Per-phase split of the interned run: candidate-MCS enumeration vs
+    # family-op wall.
     "mcs_enum_ms": (int, float),
     "family_ops_ms": (int, float),
-    "intern_wait_ns_p50": int,
-    "intern_wait_ns_p99": int,
     "peak_families": int,
     "intern_calls": int,
     "dedup_ratio": (int, float),
@@ -70,8 +67,8 @@ BENCH_ROW_FIELDS = {
 def validate_bench(doc):
     """Returns a list of error strings for a bench_gpo_intern document."""
     errors = []
-    if doc.get("schema_version") != 4:
-        errors.append(f"schema_version {doc.get('schema_version')!r} != 4")
+    if doc.get("schema_version") != 5:
+        errors.append(f"schema_version {doc.get('schema_version')!r} != 5")
     if doc.get("benchmark") != "bench_gpo_intern":
         errors.append(f"benchmark {doc.get('benchmark')!r}")
     models = doc.get("models")
@@ -117,7 +114,7 @@ def main_bench(path):
     gated = [r for r in doc["models"] if r["model"] == "nsdp:6"]
     gate = (f", nsdp:6 zdd bytes {gated[0]['zdd_families_bytes']}"
             f" <= {NSDP6_ZDD_BYTES_MAX}" if gated else "")
-    print(f"{path}: valid (schema_version 4, {len(doc['models'])} models, "
+    print(f"{path}: valid (schema_version 5, {len(doc['models'])} models, "
           f"all verdicts match{gate})")
     return 0
 

@@ -19,6 +19,7 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -43,6 +44,7 @@
 #include "safety/safety.hpp"
 #include "service/service_cli.hpp"
 #include "unfold/unfolding.hpp"
+#include "util/parse_number.hpp"
 #include "util/stopwatch.hpp"
 
 namespace {
@@ -85,9 +87,9 @@ int usage(const char* argv0) {
       << "  --structure        siphon/trap and invariant analysis\n"
       << "  --max-states N     state cap for explicit engines\n"
       << "  --max-seconds S    wall-clock cap per engine\n"
-      << "  --threads N        worker threads; honored by the exhaustive\n"
-      << "                     engine (full) and the interned GPO engine\n"
-      << "                     (gpo-intern); verdicts and state counts do\n"
+      << "  --threads N        worker threads for the exhaustive engine\n"
+      << "                     (full, also under --engine all and\n"
+      << "                     --liveness); verdicts and state counts do\n"
       << "                     not depend on N (default 1 = sequential)\n"
       << "  --stats            print per-engine telemetry counters on stderr\n"
       << "                     (states/sec, peak frontier, steals, shard\n"
@@ -296,11 +298,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--structure") {
       want_structure = true;
     } else if (arg == "--max-states") {
-      max_states = std::stoul(next());
+      max_states = gpo::util::parse_flag_number<std::size_t>(arg, next());
     } else if (arg == "--max-seconds") {
-      max_seconds = std::stod(next());
+      max_seconds = gpo::util::parse_flag_number<double>(arg, next());
     } else if (arg == "--threads") {
-      num_threads = std::stoul(next());
+      num_threads = gpo::util::parse_flag_number<std::size_t>(arg, next());
       if (num_threads == 0) num_threads = 1;
     } else if (arg == "--stats") {
       want_stats = true;
@@ -337,6 +339,15 @@ int main(int argc, char** argv) {
       net_file = arg;
     }
   }
+
+  // Only the exhaustive explorer is parallel; say so rather than silently
+  // running the chosen engine on one thread.
+  const bool threads_used =
+      want_liveness || (safety_spec.empty() && ctl_spec.empty() &&
+                        (engine == "full" || engine == "all"));
+  if (num_threads > 1 && !threads_used)
+    std::cerr << "warning: --threads applies to --engine full only; " << engine
+              << " runs sequentially\n";
 
   // One registry + tracer for the whole run. Engines only pay for the live
   // counters when some telemetry sink (--stats/--progress/--report/--trace)
@@ -423,7 +434,12 @@ int main(int argc, char** argv) {
   try {
     gpo::obs::Span parse_span(tr, "parse");
     if (!model_spec.empty()) {
-      net = gpo::models::make_by_spec(model_spec);
+      try {
+        net = gpo::models::make_by_spec(model_spec);
+      } catch (const std::invalid_argument& e) {
+        std::cerr << "error: " << e.what() << "\n";
+        return finish(2);
+      }
       if (!net) {
         std::cerr << "unknown model '" << model_spec << "'\n";
         return finish(2);
@@ -662,14 +678,11 @@ int main(int argc, char** argv) {
         opt.metrics = reg;
         opt.metrics_prefix = prefix;
         opt.tracer = tr;
-        opt.num_threads = num_threads;  // parallel path: gpo-intern only
-        opt.family_store = family_store;  // zdd forces the sequential engine
+        opt.family_store = family_store;
         auto kind = e == "gpo"       ? gpo::core::FamilyKind::kExplicit
                     : e == "gpo-bdd" ? gpo::core::FamilyKind::kBdd
                                      : gpo::core::FamilyKind::kInterned;
         auto r = gpo::core::run_gpo(*analysis_net, kind, opt);
-        for (const std::string& w : r.warnings)
-          std::cerr << "warning: " << e << ": " << w << "\n";
         row = {e, static_cast<double>(r.state_count), 0, r.deadlock_found,
                r.limit_hit, r.interrupted_phase, r.seconds};
         if (r.deadlock_found) accept_counterexample(e, r.counterexample);

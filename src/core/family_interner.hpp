@@ -16,10 +16,9 @@
 // (see src/bdd/bdd.cpp), where they are the difference between exponential
 // and near-linear behaviour.
 //
-// Concurrency v2 (this PR — see DESIGN.md "Lock-free unique table"): the
-// intra-state parallel engine turns every worker into a continuous intern
-// stream, and the PR 4 64-stripe mutex table became the shared bottleneck.
-// The unique table is now genuinely lock-free on its fast paths:
+// Concurrency (see DESIGN.md "Interner concurrency invariants"): the
+// interner may be shared by several threads, and the unique table is
+// lock-free on its fast paths:
 //   * One atomic 64-bit word per slot, packing [tag:32 | id_plus_1:32] where
 //     the tag is 30 bits of the routed hash with the top bit forced set, so
 //     0 unambiguously means "empty". Slots are write-once: empty -> claimed
@@ -27,10 +26,9 @@
 //     store). A claimant is the unique creator of its canonical family, so
 //     ids stay dense and exactly one arena slot is ever allocated per value.
 //   * Probes are acquire loads; an equal-tag claim that is not yet published
-//     is spun on (the only wait on the insert path, timed into the optional
-//     intern-wait histogram). The arena write happens before the publishing
-//     release store, so a reader that acquires the published word may read
-//     the family without further synchronization.
+//     is spun on (the only wait on the insert path). The arena write happens
+//     before the publishing release store, so a reader that acquires the
+//     published word may read the family without further synchronization.
 //   * Growth is cooperative: the thread that trips the load factor installs
 //     a double-size successor table with one CAS, then every inserting
 //     thread helps migrate — empty slots are frozen (CAS 0 -> FROZEN so no
@@ -47,7 +45,7 @@
 //     thread-local serial check) and now lazily sized: it starts at 1K slots
 //     and doubles (dropping contents — it is a cache) as its occupancy
 //     crosses 3/4, up to the configured bound. stats() aggregates every
-//     thread's hit/miss counters; in the engine this happens at join time.
+//     thread's hit/miss counters once the threads quiesce.
 // Single-threaded runs see exactly the old behaviour: ids are assigned
 // densely in intern order and the arena is byte-identical with the cache on
 // or off (the property test relies on this).
@@ -61,7 +59,6 @@
 
 #include <atomic>
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -71,7 +68,6 @@
 
 #include "core/gpo_result.hpp"
 #include "core/set_family.hpp"
-#include "obs/histogram.hpp"
 #include "util/hash.hpp"
 
 namespace gpo::core {
@@ -130,9 +126,8 @@ struct FamilyInternerStats {
 ///     registration events: a new growth table, a new thread cache).
 ///   * family(id)/hash_of(id) are lock-free; they are safe for an id the
 ///     calling thread produced itself, or one received through a
-///     synchronizing channel from the producing thread (the parallel
-///     engine's work queues, fork-join joins and thread join provide that
-///     happens-before).
+///     synchronizing channel from the producing thread (a thread join or
+///     a mutex-protected queue provides that happens-before).
 ///   * size()/stats() are exact once the calling threads quiesce.
 class FamilyInterner {
  public:
@@ -306,14 +301,6 @@ class FamilyInterner {
     return caches_.size();
   }
 
-  /// Optional wait histogram: every genuine wait inside intern() — spinning
-  /// on a racing claim's publish, or helping/awaiting a table migration —
-  /// records its duration in nanoseconds. The uncontended fast path never
-  /// reads a clock. Pass nullptr to detach.
-  void set_wait_histogram(obs::Histogram* h) {
-    wait_hist_.store(h, std::memory_order_relaxed);
-  }
-
   /// Current unique-table slot count (exact once growers quiesce).
   [[nodiscard]] std::size_t unique_table_capacity() const {
     return table_.load(std::memory_order_acquire)->mask + 1;
@@ -382,29 +369,6 @@ class FamilyInterner {
   struct ThreadCache {
     std::thread::id tid;
     std::unique_ptr<OpCache> cache;
-  };
-
-  /// Times one wait episode into the optional histogram; reads the clock
-  /// only when a wait actually happens.
-  class WaitTimer {
-   public:
-    explicit WaitTimer(const std::atomic<obs::Histogram*>& slot)
-        : h_(slot.load(std::memory_order_relaxed)),
-          start_(h_ != nullptr ? std::chrono::steady_clock::now()
-                               : std::chrono::steady_clock::time_point{}) {}
-    WaitTimer(const WaitTimer&) = delete;
-    WaitTimer& operator=(const WaitTimer&) = delete;
-    ~WaitTimer() {
-      if (h_ == nullptr) return;
-      auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                    std::chrono::steady_clock::now() - start_)
-                    .count();
-      h_->record(static_cast<std::uint64_t>(ns));
-    }
-
-   private:
-    obs::Histogram* h_;
-    std::chrono::steady_clock::time_point start_;
   };
 
   // -- arena: radix of never-moving, geometrically growing segments ---------
@@ -503,8 +467,6 @@ class FamilyInterner {
   /// allocate(); claimed slots are never frozen, so this terminates with a
   /// published word).
   std::uint64_t wait_published(Table& t, std::size_t i, std::uint64_t e) {
-    if ((e & 0xFFFFFFFFull) != 0) return e;
-    WaitTimer wait(wait_hist_);
     while ((e & 0xFFFFFFFFull) == 0) {
       std::this_thread::yield();
       e = t.slots[i].load(std::memory_order_acquire);
@@ -565,11 +527,8 @@ class FamilyInterner {
       }
       t.migrated.fetch_add(end - start, std::memory_order_acq_rel);
     }
-    if (t.migrated.load(std::memory_order_acquire) < cap) {
-      WaitTimer wait(wait_hist_);
-      while (t.migrated.load(std::memory_order_acquire) < cap)
-        std::this_thread::yield();
-    }
+    while (t.migrated.load(std::memory_order_acquire) < cap)
+      std::this_thread::yield();
     Table* cur = &t;
     table_.compare_exchange_strong(cur, next, std::memory_order_acq_rel,
                                    std::memory_order_acquire);
@@ -709,8 +668,6 @@ class FamilyInterner {
   std::atomic<ArenaSlot*> dir_[kMaxSegments] = {};
   std::atomic<std::uint64_t> next_id_alloc_{0};  // ids handed out
   std::atomic<std::uint64_t> next_id_{0};        // ids fully published
-
-  std::atomic<obs::Histogram*> wait_hist_{nullptr};
 
   mutable std::mutex caches_mu_;
   std::vector<ThreadCache> caches_;

@@ -1,6 +1,5 @@
 #include "core/gpo.hpp"
 
-#include "core/parallel_gpn_analyzer.hpp"
 #include "core/zdd_family.hpp"
 
 namespace gpo::core {
@@ -18,15 +17,6 @@ void publish_gpo_stats(obs::MetricsRegistry& reg, std::string_view prefix,
       .set(result.bailed_to_classical ? 1.0 : 0.0);
   reg.timer(p + "seconds")
       .record_ns(static_cast<std::uint64_t>(result.seconds * 1e9));
-  const GpoParallelStats& ps = result.parallel;
-  if (ps.threads > 0) {
-    reg.counter(p + "parallel.threads").store(ps.threads);
-    reg.counter(p + "parallel.steals").store(ps.steal_count);
-    reg.counter(p + "parallel.fork_tasks").store(ps.fork_tasks);
-    reg.counter(p + "parallel.peak_frontier").store(ps.peak_frontier);
-    reg.counter(p + "parallel.shards").store(ps.shard_count);
-    reg.gauge(p + "parallel.states_per_second").set(ps.states_per_second);
-  }
   const GpoFamilyStats& fs = result.family_stats;
   if (fs.available) {
     reg.counter(p + "family_distinct").store(fs.distinct_families);
@@ -157,18 +147,10 @@ GpoResult run_gpo(const petri::PetriNet& net, FamilyKind kind,
     return result;
   }
   // The ZDD store replaces the family storage of the explicit/interned
-  // kinds (kBdd is its own representation and keeps it). The shared manager
-  // is single-threaded, so this always takes the sequential engine — loudly,
-  // because silently eating --threads cost users real benchmarking time.
+  // kinds (kBdd is its own representation and keeps it).
   if (options.family_store == FamilyStore::kZdd && kind != FamilyKind::kBdd) {
     ZddFamily::Context ctx(net.transition_count());
-    GpoResult result = GpnAnalyzer<ZddFamily>(net, ctx, options).explore();
-    if (options.num_threads > 1)
-      result.warnings.push_back(
-          "--family-store zdd uses a single-threaded manager: --threads " +
-          std::to_string(options.num_threads) +
-          " was demoted to a sequential run");
-    return result;
+    return GpnAnalyzer<ZddFamily>(net, ctx, options).explore();
   }
   if (kind == FamilyKind::kExplicit) {
     ExplicitFamily::Context ctx(net.transition_count());
@@ -176,20 +158,7 @@ GpoResult run_gpo(const petri::PetriNet& net, FamilyKind kind,
   }
   if (kind == FamilyKind::kInterned) {
     InternedFamily::Context ctx(net.transition_count());
-    if (options.metrics != nullptr)
-      ctx.interner().set_wait_histogram(&options.metrics->histogram(
-          options.metrics_prefix + "intern_wait_ns"));
-    // The fork-join engine covers every option except build_graph (node
-    // labels require stable discovery order) — fall back for that.
-    if (options.num_threads > 1 && !options.build_graph)
-      return ParallelGpnAnalyzer(net, ctx, options).explore();
-    GpoResult result = GpnAnalyzer<InternedFamily>(net, ctx, options).explore();
-    if (options.num_threads > 1 && options.build_graph)
-      result.warnings.push_back(
-          "--graph needs stable discovery order: --threads " +
-          std::to_string(options.num_threads) +
-          " was demoted to a sequential run");
-    return result;
+    return GpnAnalyzer<InternedFamily>(net, ctx, options).explore();
   }
   BddFamily::Context ctx(net.transition_count());
   return GpnAnalyzer<BddFamily>(net, ctx, options).explore();

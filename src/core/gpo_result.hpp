@@ -16,10 +16,6 @@
 #include "util/bitset.hpp"
 #include "util/cancel_token.hpp"
 
-namespace gpo::util {
-class TaskPool;
-}
-
 namespace gpo::core {
 
 /// Storage backend for the canonical families of the reduced search.
@@ -71,21 +67,12 @@ struct GpoOptions {
   /// "delegated-search" and "ignoring-guard" spans so the phase tree (and a
   /// timeout's interrupted-phase diagnostic) show where the time went.
   obs::Tracer* tracer = nullptr;
-  /// Worker threads for the reduced search. Honored by the interned-family
-  /// engine (Engine::kGpoInterned) when build_graph is off; >1 selects the
-  /// work-stealing ParallelGpnAnalyzer. Verdicts and state/edge counts are
-  /// identical to the sequential engine (see DESIGN.md); only which
-  /// counterexample is reported may differ (it always replays).
-  std::size_t num_threads = 1;
-  /// Visited-set shards for the parallel engine; 0 = max(16, 4 * threads).
-  std::size_t shard_count = 0;
   /// Family storage backend (ignored by FamilyKind::kBdd, which is its own
   /// representation). kZdd stores every canonical family as one
   /// zero-suppressed decision diagram over the transition universe: shared
   /// node structure typically cuts families_bytes by an order of magnitude
   /// on scenario-heavy nets, interning is pointer equality and the op cache
-  /// a node-level computed table. The ZDD manager is single-threaded, so
-  /// kZdd always runs the sequential engine (num_threads is ignored).
+  /// a node-level computed table.
   FamilyStore family_store = FamilyStore::kExplicit;
   /// Structural net reduction applied by run_gpo() before the search: the
   /// engine runs on the reduced net, the counterexample is mapped back
@@ -96,29 +83,6 @@ struct GpoOptions {
   /// Callers that reduce once for several engines (the CLI, the portfolio
   /// scheduler) keep this kOff and map counterexamples themselves.
   reduce::ReduceLevel reduce_level = reduce::ReduceLevel::kOff;
-  /// Fork-join pool for intra-state parallelism. When set, the analyzer's
-  /// semantic methods (m_update / deadlock_scenario / plan_expansion /
-  /// single_enabled_transitions) fork their per-transition terms, candidate
-  /// checks and reduction-tree levels onto it as fine-grained range tasks —
-  /// with deterministic chunking and index-addressed writes, so all results
-  /// stay bitwise identical to the sequential evaluation. Requires a
-  /// thread-safe family context (the lock-free FamilyInterner); the engines
-  /// set it, callers normally leave it null.
-  util::TaskPool* task_pool = nullptr;
-};
-
-/// Counters specific to the parallel GPN engine (threads == 0 when the
-/// sequential path ran).
-struct GpoParallelStats {
-  std::size_t threads = 0;
-  std::size_t steal_count = 0;
-  std::size_t peak_frontier = 0;
-  std::size_t shard_count = 0;
-  /// Fine-grained intra-state range tasks forked onto the pool (0 on the
-  /// sequential path: the models' GPN graphs are tiny, so this — not
-  /// peak_frontier — is where the parallelism lives).
-  std::size_t fork_tasks = 0;
-  double states_per_second = 0.0;
 };
 
 /// Counters of the canonical family store (FamilyKind::kInterned, or any
@@ -207,15 +171,6 @@ struct GpoResult {
 
   /// Interner/op-cache counters (FamilyKind::kInterned runs only).
   GpoFamilyStats family_stats;
-
-  /// Work-stealing counters (parallel runs only; threads == 0 otherwise).
-  GpoParallelStats parallel;
-
-  /// Human-readable diagnostics about ignored or demoted options (e.g. the
-  /// zdd store forcing --threads back to the sequential engine). The CLI
-  /// prints them to stderr; the portfolio scheduler copies them into
-  /// jobs[].warnings in the batch report.
-  std::vector<std::string> warnings;
 
   petri::LabeledGraph graph;  // populated when GpoOptions::build_graph
 };

@@ -62,8 +62,10 @@ class ZddFamily {
     /// r0 built compositionally: per conflict component the (Bron–Kerbosch)
     /// maximal independent sets as a union of singletons, then the unordered
     /// ZDD product across components. Components have disjoint transition
-    /// supports, so the product is exact and never enumerates the full
-    /// family — polynomial where the explicit r0 is exponential.
+    /// supports, so the product is exact and the cross-component product is
+    /// never enumerated. Each component's sets still are, one by one, and a
+    /// component can have exponentially many (up to 3^(n/3) for n
+    /// transitions), so this is exponential in the largest component.
     [[nodiscard]] ZddFamily initial_valid_sets(
         const petri::ConflictInfo& conflicts) const;
 

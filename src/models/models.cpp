@@ -6,6 +6,7 @@
 #include <string>
 
 #include "petri/builder.hpp"
+#include "util/parse_number.hpp"
 
 namespace gpo::models {
 
@@ -346,11 +347,20 @@ PetriNet make_random_net(const RandomNetParams& params) {
   return b.build();
 }
 
-std::optional<petri::PetriNet> make_by_spec(const std::string& spec) {
+std::size_t spec_size(const std::string& spec) {
   auto colon = spec.find(':');
-  std::string name = spec.substr(0, colon);
-  std::size_t n = 0;
-  if (colon != std::string::npos) n = std::stoul(spec.substr(colon + 1));
+  if (colon == std::string::npos) return 0;
+  auto n = util::parse_number<std::size_t>(
+      std::string_view(spec).substr(colon + 1));
+  if (!n || *n == 0)
+    throw std::invalid_argument("model '" + spec +
+                                "': size must be a positive decimal");
+  return *n;
+}
+
+std::optional<petri::PetriNet> make_by_spec(const std::string& spec) {
+  std::string name = spec.substr(0, spec.find(':'));
+  std::size_t n = spec_size(spec);
   if (name == "nsdp") return make_nsdp(n);
   if (name == "asat") return make_arbiter_tree(n);
   if (name == "over") return make_overtake(n);

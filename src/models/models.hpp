@@ -90,8 +90,14 @@ struct RandomNetParams {
 /// shared lookup behind `julie --model`, batch manifests and the server's
 /// CHECK command. Names: nsdp, asat, over, rw, diamond, chain, cyclic, ring,
 /// fig3, fig5, fig7. Returns std::nullopt for an unknown name; throws
-/// std::invalid_argument/std::out_of_range on a malformed size.
+/// std::invalid_argument on a malformed size (see spec_size) or one the
+/// family rejects.
 [[nodiscard]] std::optional<petri::PetriNet> make_by_spec(
     const std::string& spec);
+
+/// The size of a "name:size" spec, 0 when there is no ':'. Throws
+/// std::invalid_argument unless the size is a positive decimal. Cheap, so
+/// the server checks every CHECK line with it before accepting the job.
+[[nodiscard]] std::size_t spec_size(const std::string& spec);
 
 }  // namespace gpo::models

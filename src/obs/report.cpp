@@ -194,11 +194,6 @@ json::Value RunReport::build(const Tracer* tracer,
       j["cancel_latency_seconds"] = job.cancel_latency_seconds;
       if (job.reduction.has_value())
         j["reduction"] = reduction_to_json(*job.reduction);
-      if (!job.warnings.empty()) {
-        json::Value warns = json::Value::array();
-        for (const std::string& w : job.warnings) warns.push_back(w);
-        j["warnings"] = std::move(warns);
-      }
       json::Value racers = json::Value::array();
       for (const EngineRun& run : job.engines)
         racers.push_back(engine_run_to_json(run, /*in_job=*/true));

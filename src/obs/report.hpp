@@ -144,10 +144,6 @@ class RunReport {
     /// Net reduction applied once before the job's racers fanned out;
     /// absent when the manifest requested reduce=off (or nothing).
     std::optional<ReductionRun> reduction;
-    /// Non-fatal diagnostics from the racers ("<engine>: <message>"), e.g.
-    /// a threads= request the zdd store demoted to a sequential run.
-    /// Omitted from the JSON when empty.
-    std::vector<std::string> warnings;
     std::vector<EngineRun> engines;
   };
   void add_job(JobRun job) { jobs_.push_back(std::move(job)); }

@@ -4,8 +4,11 @@
 #include <fstream>
 #include <istream>
 #include <sstream>
+#include <stdexcept>
 
+#include "models/models.hpp"
 #include "reduce/reduce.hpp"
+#include "util/parse_number.hpp"
 
 namespace gpo::service {
 
@@ -51,6 +54,15 @@ JobSpec parse_job_line(const std::string& line, std::size_t line_no) {
   JobSpec spec;
   spec.line = line_no;
   if (!(in >> spec.model)) fail(line_no, "missing model");
+  // A built-in spec's size is checked here, so a malformed one is a parse
+  // error (ERR on serve) rather than a failed job; net files load later.
+  if (!spec.model.ends_with(".net") && !spec.model.ends_with(".pnml")) {
+    try {
+      (void)models::spec_size(spec.model);
+    } catch (const std::invalid_argument& e) {
+      fail(line_no, e.what());
+    }
+  }
   std::string field;
   while (in >> field) {
     std::size_t eq = field.find('=');
@@ -58,45 +70,41 @@ JobSpec parse_job_line(const std::string& line, std::size_t line_no) {
       fail(line_no, "malformed field '" + field + "' (want key=value)");
     std::string key = field.substr(0, eq);
     std::string value = field.substr(eq + 1);
-    try {
-      if (key == "engines") {
-        spec.engines = split(value, ',');
-        if (spec.engines.empty()) fail(line_no, "engines= names no engine");
-        for (const std::string& e : spec.engines)
-          if (!is_known_engine(e))
-            fail(line_no, "unknown engine '" + e + "'");
-      } else if (key == "max-seconds") {
-        spec.max_seconds = std::stod(value);
-        if (!(spec.max_seconds > 0))
-          fail(line_no, "max-seconds must be positive");
-      } else if (key == "max-states") {
-        spec.max_states = std::stoul(value);
-        if (spec.max_states == 0) fail(line_no, "max-states must be positive");
-      } else if (key == "family-store") {
-        if (value != "explicit" && value != "zdd")
-          fail(line_no,
-               "family-store must be explicit or zdd, got '" + value + "'");
-        spec.family_store = value;
-      } else if (key == "reduce") {
-        if (!reduce::parse_reduce_level(value))
-          fail(line_no, "reduce must be off, safe or aggressive, got '" +
-                            value + "'");
-        spec.reduce = value;
-      } else if (key == "threads") {
-        spec.threads = std::stoul(value);
-        if (spec.threads == 0) fail(line_no, "threads must be positive");
-      } else if (key == "expect") {
-        if (value != "deadlock" && value != "no-deadlock")
-          fail(line_no, "expect must be deadlock or no-deadlock, got '" +
-                            value + "'");
-        spec.expect = value;
-      } else {
-        fail(line_no, "unknown key '" + key + "'");
-      }
-    } catch (const ManifestError&) {
-      throw;
-    } catch (const std::exception&) {
-      fail(line_no, "bad value for " + key + ": '" + value + "'");
+    if (key == "engines") {
+      spec.engines = split(value, ',');
+      if (spec.engines.empty()) fail(line_no, "engines= names no engine");
+      for (const std::string& e : spec.engines)
+        if (!is_known_engine(e))
+          fail(line_no, "unknown engine '" + e + "'");
+    } else if (key == "max-seconds") {
+      auto secs = util::parse_number<double>(value);
+      if (!secs || *secs == 0)
+        fail(line_no, "max-seconds must be a positive number, got '" +
+                          value + "'");
+      spec.max_seconds = *secs;
+    } else if (key == "max-states") {
+      auto n = util::parse_number<std::size_t>(value);
+      if (!n || *n == 0)
+        fail(line_no, "max-states must be a positive decimal, got '" +
+                          value + "'");
+      spec.max_states = *n;
+    } else if (key == "family-store") {
+      if (value != "explicit" && value != "zdd")
+        fail(line_no,
+             "family-store must be explicit or zdd, got '" + value + "'");
+      spec.family_store = value;
+    } else if (key == "reduce") {
+      if (!reduce::parse_reduce_level(value))
+        fail(line_no, "reduce must be off, safe or aggressive, got '" +
+                          value + "'");
+      spec.reduce = value;
+    } else if (key == "expect") {
+      if (value != "deadlock" && value != "no-deadlock")
+        fail(line_no, "expect must be deadlock or no-deadlock, got '" +
+                          value + "'");
+      spec.expect = value;
+    } else {
+      fail(line_no, "unknown key '" + key + "'");
     }
   }
   return spec;

@@ -4,7 +4,7 @@
 // line at a time, by the server's CHECK command). Grammar, one job per line:
 //
 //   <model> [engines=E1,E2,..] [max-seconds=S] [max-states=N]
-//           [family-store=F] [reduce=L] [threads=T] [expect=V]
+//           [family-store=F] [reduce=L] [expect=V]
 //
 //   <model>       a built-in spec ("nsdp:8", "fig7") or a .net/.pnml path
 //   engines=      portfolio to race; default gpo-intern,por,bdd,unfold
@@ -18,10 +18,6 @@
 //                 off); the job verdict transfers through the reduction
 //                 certificate and a winner's counterexample is mapped back
 //                 to and replayed on the original net
-//   threads=      worker threads for the gpo-intern racer's fork-join engine
-//                 (default 1). Other engines ignore it; combined with
-//                 family-store=zdd the run is demoted to sequential and the
-//                 job carries a warning in the report's jobs[].warnings
 //   expect=       expected verdict ("deadlock" | "no-deadlock"); batch mode
 //                 exits nonzero when a job's verdict disagrees — this is the
 //                 column the CI portfolio-smoke job asserts against
@@ -72,8 +68,6 @@ struct JobSpec {
   /// reduction the scheduler applies once per job before racing (kept as
   /// the manifest's string, same as family_store).
   std::string reduce;
-  /// Worker threads for the gpo-intern racer (1 = sequential engine).
-  std::size_t threads = 1;
   std::string expect;  // "" (none) | "deadlock" | "no-deadlock"
   std::size_t line = 0;  // 1-based manifest line, for diagnostics
 };

@@ -95,10 +95,8 @@ EngineOutcome run_gpo_kind(core::FamilyKind kind, const char* name,
   opt.metrics_prefix = std::string("engine.") + name + ".";
   if (limits.family_store == "zdd")
     opt.family_store = core::FamilyStore::kZdd;
-  if (kind == core::FamilyKind::kInterned) opt.num_threads = limits.threads;
   auto r = core::run_gpo(net, kind, opt);
   EngineOutcome out;
-  out.warnings = r.warnings;
   out.states = static_cast<double>(r.state_count);
   out.seconds = r.seconds;
   out.aborted_phase = r.interrupted_phase;

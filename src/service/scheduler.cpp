@@ -40,7 +40,7 @@ petri::PetriNet load_net(const std::string& model) {
 }
 
 /// The global pool: W workers over the shared work-stealing deques (the
-/// same structure the parallel engines use for frontiers). Tasks are
+/// same structure the parallel explorer uses for its frontier). Tasks are
 /// whole racer runs — coarse, long-blocking items — so the boring
 /// mutex-per-deque queues are far from contended.
 class Pool {
@@ -220,7 +220,6 @@ struct PortfolioScheduler::Impl {
       limits.max_states = js.spec.max_states;
       limits.max_seconds = js.spec.max_seconds;
       limits.family_store = js.spec.family_store;
-      limits.threads = js.spec.threads;
       try {
         out = runner(*js.net, limits, &js.token, js.metrics.get());
       } catch (const std::exception& e) {
@@ -591,9 +590,6 @@ void add_jobs_to_report(obs::RunReport& report,
     job.seconds = r.seconds;
     job.cancel_latency_seconds = r.cancel_latency_seconds;
     job.reduction = r.reduction;
-    for (const EngineOutcome& o : r.engines)
-      for (const std::string& w : o.warnings)
-        job.warnings.push_back(o.engine + ": " + w);
     for (const EngineOutcome& o : r.engines) {
       obs::RunReport::EngineRun er;
       er.engine = o.engine;

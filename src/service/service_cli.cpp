@@ -13,6 +13,7 @@
 #include "obs/report.hpp"
 #include "service/scheduler.hpp"
 #include "service/server.hpp"
+#include "util/parse_number.hpp"
 
 namespace gpo::service {
 
@@ -57,10 +58,6 @@ void print_job(const JobResult& r) {
   if (r.cancel_latency_seconds > 0)
     std::cout << ", cancel latency " << r.cancel_latency_seconds << "s";
   std::cout << ")\n";
-  for (const EngineOutcome& o : r.engines)
-    for (const std::string& w : o.warnings)
-      std::cerr << "warning: job " << r.id << " " << o.engine << ": " << w
-                << "\n";
 }
 
 /// Stderr dump of the scheduler's own telemetry scope (--stats): one line
@@ -137,7 +134,7 @@ int batch_main(int argc, char** argv) {
     } else if (arg == "--stats") {
       want_stats = true;
     } else if (arg == "--pool-threads") {
-      sched.pool_threads = std::stoul(next());
+      sched.pool_threads = util::parse_flag_number<std::size_t>(arg, next());
     } else if (arg == "--quiet") {
       quiet = true;
     } else if (arg == "--help" || arg == "-h" ||
@@ -233,7 +230,8 @@ int serve_main(int argc, char** argv) {
   for (int i = 0; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg == "--pool-threads" && i + 1 < argc) {
-      options.pool_threads = std::stoul(argv[++i]);
+      options.pool_threads =
+          util::parse_flag_number<std::size_t>(arg, argv[++i]);
     } else if (arg == "--events" && i + 1 < argc) {
       events_file = argv[++i];
     } else if (arg == "--progress") {

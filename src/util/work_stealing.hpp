@@ -1,15 +1,16 @@
-// Shared work-stealing frontier used by the parallel engines.
+// Shared work-stealing queues: the parallel explorer's frontier and the
+// portfolio scheduler's task pool.
 //
 // One mutex-guarded deque per worker: the owner pushes and pops at the back
 // (depth-first-ish, cache-friendly), thieves take from the front (old,
 // typically "big" work). acquire() first drains the caller's own deque, then
 // probes the other workers round-robin starting at the neighbour, so steals
 // spread instead of all hammering worker 0. The same policy used to live
-// inline in the parallel explicit explorer (PR 1); it is now generic over the
-// work item so the parallel GPN engine reuses it unchanged.
+// inline in the parallel explicit explorer; it is generic over the work item
+// so the service pool reuses it unchanged.
 //
 // A plain mutex per deque is deliberately boring: work items here are
-// hundreds of bytes (a marking, or a GPN state), so the lock cost is noise
+// hundreds of bytes (a marking, or a racer run), so the lock cost is noise
 // next to the expansion cost, and boring is easy to keep TSan-clean.
 #pragma once
 

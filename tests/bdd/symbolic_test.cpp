@@ -16,6 +16,10 @@ struct ModelCase {
   std::size_t param;
 };
 
+// Without this gtest prints the raw bytes of the two pointers, so the test
+// names ctest discovers would change with every link and every ASLR base.
+void PrintTo(const ModelCase& c, std::ostream* os) { *os << c.name; }
+
 PetriNet wrap_fig7(std::size_t) { return models::make_fig7(); }
 PetriNet wrap_fig3(std::size_t) { return models::make_fig3(); }
 

@@ -47,6 +47,17 @@ TEST(Models, RwRejectsZero) {
   EXPECT_THROW((void)make_readers_writers(0), std::invalid_argument);
 }
 
+TEST(Models, SpecSizeMustBeAPositiveDecimal) {
+  for (const char* bad : {"nsdp:-1", "nsdp:abc", "nsdp:5x", "nsdp:0",
+                          "nsdp:", "nsdp: 5", "nosuch:-1"})
+    EXPECT_THROW((void)make_by_spec(bad), std::invalid_argument) << bad;
+  EXPECT_EQ(spec_size("nsdp:12"), 12u);
+  EXPECT_EQ(spec_size("fig7"), 0u);
+  EXPECT_EQ(make_by_spec("nsdp:3")->transition_count(),
+            make_nsdp(3).transition_count());
+  EXPECT_FALSE(make_by_spec("nosuch:3").has_value());
+}
+
 class SafenessCheck
     : public ::testing::TestWithParam<std::pair<const char*, PetriNet>> {};
 

@@ -74,6 +74,9 @@ TEST(Manifest, MalformedLinesAreHardErrors) {
   EXPECT_THROW((void)parse_job_line("fig7 max-seconds=0"), ManifestError);
   EXPECT_THROW((void)parse_job_line("fig7 max-seconds=abc"), ManifestError);
   EXPECT_THROW((void)parse_job_line("fig7 max-states=0"), ManifestError);
+  EXPECT_THROW((void)parse_job_line("fig7 max-states=5x"), ManifestError);
+  EXPECT_THROW((void)parse_job_line("nsdp:-1"), ManifestError);
+  EXPECT_THROW((void)parse_job_line("fig7 threads=2"), ManifestError);
   EXPECT_THROW((void)parse_job_line("fig7 expect=maybe"), ManifestError);
   EXPECT_THROW((void)parse_job_line("fig7 budget=3"), ManifestError);
   EXPECT_THROW((void)parse_job_line("   "), ManifestError);

@@ -88,12 +88,20 @@ TEST(Server, MalformedLinesGetErrAndDoNotKillTheSession) {
   auto lines = run_server(
       "PING\n"
       "CHECK fig7 engines=smt\n"
+      "CHECK nsdp:-1\n"
+      "CHECK nsdp:abc\n"
+      "CHECK fig7 threads=4\n"
       "CHECK fig7\n"
       "QUIT\n");
-  std::size_t errs = 0;
+  std::vector<std::string> errs;
   for (const std::string& l : lines)
-    if (l.rfind("ERR", 0) == 0) ++errs;
-  EXPECT_EQ(errs, 2u) << "unknown verb + unknown engine";
+    if (l.rfind("ERR", 0) == 0) errs.push_back(l);
+  ASSERT_EQ(errs.size(), 5u)
+      << "unknown verb, unknown engine, two bad sizes, unknown key";
+  EXPECT_NE(errs[2].find("size must be a positive decimal"), std::string::npos)
+      << errs[2];
+  EXPECT_NE(errs[4].find("unknown key 'threads'"), std::string::npos)
+      << errs[4];
   ASSERT_EQ(verdicts(lines).size(), 1u);
   EXPECT_EQ(lines.back(), "BYE 1");
 }
