@@ -70,8 +70,10 @@ int usage(const char* argv0) {
       << "  --family-store S   explicit | zdd — family storage backend for\n"
       << "                     the gpo/gpo-intern engines (default explicit;\n"
       << "                     zdd stores canonical set families as shared\n"
-      << "                     zero-suppressed DDs: ~10x less family memory\n"
-      << "                     on scenario-heavy nets, sequential only)\n"
+      << "                     zero-suppressed DDs and builds r0 from the\n"
+      << "                     conflict graph without listing its sets, so\n"
+      << "                     it runs nets past the explicit r0 cap, e.g.\n"
+      << "                     nsdp:12 and up; sequential only)\n"
       << "  --reduce L         off | safe | aggressive — structural net\n"
       << "                     reduction before the deadlock engines run\n"
       << "                     (default off). The engines analyze the\n"
@@ -614,6 +616,7 @@ int main(int argc, char** argv) {
       };
 
   bool any_deadlock = false;
+  bool any_failed = false;
   auto run_one = [&](const std::string& e) {
     Row row;
     row.engine = e;
@@ -692,6 +695,7 @@ int main(int argc, char** argv) {
       }
     } catch (const std::exception& ex) {
       std::cout << "  " << e << ": failed: " << ex.what() << "\n";
+      any_failed = true;
       gpo::obs::RunReport::EngineRun er;
       er.engine = e;
       er.model = model_spec.empty() ? net_file : model_spec;
@@ -735,5 +739,8 @@ int main(int argc, char** argv) {
     run_one(engine);
   }
   if (certificate_violation) return finish(1);
+  // A single engine that failed has no verdict, so it must not exit like
+  // "no deadlock"; under --engine all the other engines' verdicts stand.
+  if (any_failed && engine != "all") return finish(1);
   return finish(any_deadlock ? 10 : 0);
 }

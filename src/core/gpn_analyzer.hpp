@@ -690,7 +690,10 @@ GpoResult GpnAnalyzer<Family>::explore() const {
   };
 
   std::deque<std::size_t> frontier;
-  intern(initial_state());
+  {
+    obs::Span span(options_.tracer, "initial-state");
+    intern(initial_state());
+  }
   frontier.push_back(0);
 
   bool stopped = false;

@@ -6,18 +6,22 @@
 // GPN operation reduces to a handful of family operations: intersection,
 // union, difference, "members containing transition t", emptiness, equality.
 //
-// Two interchangeable representations are provided (DESIGN.md, decision 2):
+// This header defines two of the four interchangeable representations
+// (DESIGN.md, decisions 2, 9 and 12):
 //   * ExplicitFamily — canonical sorted vector of transition bitsets. Simple,
 //     exact, and linear in the number of member sets; mirrors what the
-//     paper's JULIE prototype plausibly did.
+//     paper's JULIE prototype plausibly did. It is the semantic oracle.
 //   * BddFamily — a Boolean function over |T| BDD variables (a set S ⊆ T is a
 //     member iff its characteristic assignment satisfies the function).
 //     Family operations become constant-to-polynomial BDD operations and the
-//     initial family r0 (maximal conflict-free sets) has a polynomial-size
-//     construction, while its explicit enumeration is exponential.
+//     initial family r0 (maximal conflict-free sets) is built from the
+//     conflict clauses, while its explicit enumeration is exponential.
+// The other two are InternedFamily (core/family_interner.hpp: explicit
+// families hash-consed behind 32-bit ids) and ZddFamily (core/zdd_family.hpp:
+// canonical zero-suppressed DDs, r0 built symbolically like the BDD one).
 //
-// Both classes satisfy the same compile-time interface; the GPO engine
-// (gpn_analyzer.hpp) is templated over it. A property-based test drives both
+// All four satisfy the same compile-time interface; the GPO engine
+// (gpn_analyzer.hpp) is templated over it. A property-based test drives them
 // through random operation sequences and asserts identical contents.
 #pragma once
 

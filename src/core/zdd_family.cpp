@@ -25,12 +25,31 @@ ZddFamily ZddFamily::Context::initial_valid_sets(
   // Start from {∅}: the product identity, and the correct r0 for a net with
   // no transitions at all.
   zdd::Ref r = zdd::kUnit;
-  const auto& components = conflicts.components();
-  for (std::size_t c = 0; c < components.size(); ++c) {
-    zdd::Ref factor = zdd::kEmpty;
-    for (const util::Bitset& mis : conflicts.maximal_independent_sets(c))
-      factor = mgr.unite(factor, mgr.single(mis));
-    r = mgr.product(r, factor);
+  for (const auto& component : conflicts.components()) {
+    // Independence, bottom-up over the component's (ascending) transitions:
+    // after step t, f holds every conflict-free subset of the transitions
+    // >= t. A set may take t only if it holds no neighbour u > t of t.
+    // f mentions only transitions > t, so node (t, ...) keeps the order.
+    zdd::Ref f = zdd::kUnit;
+    for (auto it = component.rbegin(); it != component.rend(); ++it) {
+      const petri::TransitionId t = *it;
+      const util::Bitset& nb = conflicts.neighbors(t);
+      zdd::Ref hit = zdd::kEmpty;
+      for (std::size_t u = nb.find_next(t + 1); u < num_transitions_;
+           u = nb.find_next(u + 1))
+        hit = mgr.unite(hit, mgr.containing(f, static_cast<zdd::Var>(u)));
+      f = mgr.make_node(static_cast<zdd::Var>(t), f, mgr.subtract(f, hit));
+    }
+    // Maximality: a set may leave t out only if it holds a neighbour of t.
+    for (const petri::TransitionId t : component) {
+      const util::Bitset& nb = conflicts.neighbors(t);
+      zdd::Ref keep = mgr.containing(f, static_cast<zdd::Var>(t));
+      for (std::size_t u = nb.find_first(); u < num_transitions_;
+           u = nb.find_next(u + 1))
+        keep = mgr.unite(keep, mgr.containing(f, static_cast<zdd::Var>(u)));
+      f = keep;
+    }
+    r = mgr.product(r, f);
   }
   return ZddFamily(manager_.get(), num_transitions_, r);
 }

@@ -59,13 +59,13 @@ class ZddFamily {
     [[nodiscard]] ZddFamily single(const TransitionSet& set) const;
     [[nodiscard]] ZddFamily from_sets(
         const std::vector<TransitionSet>& sets) const;
-    /// r0 built compositionally: per conflict component the (Bron–Kerbosch)
-    /// maximal independent sets as a union of singletons, then the unordered
-    /// ZDD product across components. Components have disjoint transition
-    /// supports, so the product is exact and the cross-component product is
-    /// never enumerated. Each component's sets still are, one by one, and a
-    /// component can have exponentially many (up to 3^(n/3) for n
-    /// transitions), so this is exponential in the largest component.
+    /// r0 built symbolically from the conflict graph, one component at a
+    /// time: the component's conflict-free sets bottom-up in descending
+    /// transition order, then a maximality filter per transition, then the
+    /// unordered ZDD product across components (disjoint supports, so the
+    /// product is exact). Only family operations run, so no member set is
+    /// ever listed; cost follows the diagram sizes, not the member count,
+    /// which can be exponential (up to 3^(n/3) per n-transition component).
     [[nodiscard]] ZddFamily initial_valid_sets(
         const petri::ConflictInfo& conflicts) const;
 

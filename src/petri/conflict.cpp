@@ -134,8 +134,8 @@ std::vector<util::Bitset> ConflictInfo::maximal_conflict_free_sets(
     std::vector<util::Bitset> mis = maximal_independent_sets(c);
     if (family.size() * mis.size() > cap)
       throw std::length_error(
-          "explicit r0 would exceed cap; use the BDD set-family "
-          "representation for this net");
+          "explicit r0 would exceed cap; use --engine gpo-bdd or "
+          "--family-store zdd for this net");
     std::vector<util::Bitset> next;
     next.reserve(family.size() * mis.size());
     for (const auto& f : family)

@@ -239,7 +239,6 @@ struct PortfolioScheduler::Impl {
     bool won = false;
     bool was_cancelled = false;
     double cancel_latency = 0;
-    std::string verdict = out.verdict;
     JobResult snapshot;
     {
       std::lock_guard<std::mutex> lock(js.mu);
@@ -285,6 +284,20 @@ struct PortfolioScheduler::Impl {
             std::max(js.result.cancel_latency_seconds, cancel_latency);
         was_cancelled = true;
       }
+      // Emitted under js.mu and before this racer's decrement: "finished"
+      // is emitted by the racer that takes `remaining` to 0, after its own
+      // decrement, so it follows every other racer's record in the log.
+      if (won) {
+        obs::json::Value ev = obs::json::Value::object();
+        ev["engine"] = name;
+        ev["verdict"] = out.verdict;
+        event("first-answer", job_id, std::move(ev));
+      }
+      if (was_cancelled) {
+        obs::json::Value ev = obs::json::Value::object();
+        ev["engine"] = name;
+        event("cancelled", job_id, std::move(ev));
+      }
       js.result.engines[index] = std::move(out);
       if (--js.remaining == 0) {
         finish_locked(js, end);
@@ -292,21 +305,13 @@ struct PortfolioScheduler::Impl {
         snapshot = js.result;
       }
     }
-    if (won) {
+    if (won)
       service_metrics.counter("service.engine." + name + ".wins").add();
-      obs::json::Value ev = obs::json::Value::object();
-      ev["engine"] = name;
-      ev["verdict"] = verdict;
-      event("first-answer", job_id, std::move(ev));
-    }
     if (was_cancelled) {
       service_metrics.counter("service.engine." + name + ".cancelled").add();
       // The per-job scalar keeps only the max drain; the histogram sees
       // every cancelled racer's drain, so p99 is a real fleet statistic.
       cancel_hist.record_seconds(cancel_latency);
-      obs::json::Value ev = obs::json::Value::object();
-      ev["engine"] = name;
-      event("cancelled", job_id, std::move(ev));
     }
     // on_complete runs BEFORE done is published: wait()/wait_all() returning
     // guarantees every completion callback has also returned (the server

@@ -307,8 +307,9 @@ TEST(Scheduler, EventLogReceivesJobLifecycle) {
   }
   // Assert only the orderings the scheduler guarantees: "submitted" leads,
   // "finished" (the last completer) trails, and the first answer cannot
-  // precede the job starting. "first-answer" vs the loser's "cancelled" is
-  // a genuine race between two worker threads — not asserted.
+  // precede the job starting. The winner logs "first-answer" in the same
+  // critical section that fires the cancel token, so the loser's
+  // "cancelled" follows it.
   ASSERT_FALSE(order.empty());
   EXPECT_EQ(order.front(), "submitted");
   EXPECT_EQ(order.back(), "finished");
@@ -319,6 +320,7 @@ TEST(Scheduler, EventLogReceivesJobLifecycle) {
   EXPECT_EQ(std::count(order.begin(), order.end(), "cancelled"), 1);
   EXPECT_EQ(std::count(order.begin(), order.end(), "first-answer"), 1);
   EXPECT_LT(index_of("started"), index_of("first-answer"));
+  EXPECT_LT(index_of("first-answer"), index_of("cancelled"));
 }
 
 /// The determinism cross-check of the acceptance criteria: for every
