@@ -50,49 +50,6 @@ void publish_gpo_stats(obs::MetricsRegistry& reg, std::string_view prefix,
   }
 }
 
-GpoFamilyStats family_stats_from_registry(const obs::MetricsRegistry& reg,
-                                          std::string_view prefix) {
-  std::string p(prefix);
-  GpoFamilyStats fs;
-  auto distinct = reg.value(p + "family_distinct");
-  if (!distinct) return fs;
-  auto get = [&](const std::string& name) {
-    return reg.value(p + name).value_or(0.0);
-  };
-  fs.available = true;
-  fs.distinct_families = static_cast<std::size_t>(*distinct);
-  fs.intern_calls = static_cast<std::size_t>(get("family_intern_calls"));
-  fs.dedup_ratio = get("family_dedup_ratio");
-  fs.op_cache_hits = static_cast<std::size_t>(get("family_op_cache_hits"));
-  fs.op_cache_misses =
-      static_cast<std::size_t>(get("family_op_cache_misses"));
-  fs.op_cache_hit_rate = get("family_op_cache_hit_rate");
-  fs.op_cache_evictions =
-      static_cast<std::size_t>(get("family_op_cache_evictions"));
-  fs.op_cache_occupied =
-      static_cast<std::size_t>(get("family_op_cache_occupied"));
-  fs.op_cache_capacity =
-      static_cast<std::size_t>(get("family_op_cache_capacity"));
-  fs.families_bytes = static_cast<std::size_t>(
-      reg.value("mem." + p + "families_bytes").value_or(0.0));
-  if (auto zdd_nodes = reg.value(p + "zdd.nodes")) {
-    fs.backend = "zdd";
-    fs.zdd_nodes = static_cast<std::size_t>(*zdd_nodes);
-    for (const char* op : zdd::ZddStats::kOpNames) {
-      GpoFamilyStats::OpCacheCount oc;
-      oc.op = op;
-      oc.hits = static_cast<std::size_t>(
-          get(std::string("zdd.cache.") + op + ".hits"));
-      oc.misses = static_cast<std::size_t>(
-          get(std::string("zdd.cache.") + op + ".misses"));
-      fs.zdd_op_counts.push_back(std::move(oc));
-    }
-  } else {
-    fs.backend = "interned";
-  }
-  return fs;
-}
-
 namespace {
 
 /// Rewrites an engine result produced on a reduced net back into terms of

@@ -182,11 +182,4 @@ struct GpoResult {
 void publish_gpo_stats(obs::MetricsRegistry& reg, std::string_view prefix,
                        const GpoResult& result);
 
-/// Reconstructs the GpoFamilyStats view from counters previously published
-/// under `prefix` — the registry is the source of truth, the struct a
-/// convenience view. `available` reflects whether "<prefix>family_distinct"
-/// was ever published.
-[[nodiscard]] GpoFamilyStats family_stats_from_registry(
-    const obs::MetricsRegistry& reg, std::string_view prefix);
-
 }  // namespace gpo::core

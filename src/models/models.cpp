@@ -4,6 +4,7 @@
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "petri/builder.hpp"
 #include "util/parse_number.hpp"
@@ -347,6 +348,42 @@ PetriNet make_random_net(const RandomNetParams& params) {
   return b.build();
 }
 
+namespace {
+
+struct Family {
+  std::string_view name;
+  PetriNet (*make)(std::size_t n);
+  /// Largest accepted size; 0 for the fixed figure nets, which ignore it.
+  std::size_t max_size;
+};
+
+// Each bound keeps the family's net within about 2^15 places + transitions +
+// arcs (rw has n^2 arcs, the others grow linearly): far above every size the
+// tests, benchmarks and docs use, and small enough that the net and its
+// |T|^2-bit conflict relation build in moments. A larger size is an input
+// error, not a long wait or std::bad_alloc.
+constexpr Family kFamilies[] = {
+    {"nsdp", make_nsdp, 1260},
+    {"asat", make_arbiter_tree, 512},
+    {"over", make_overtake, 936},
+    {"rw", make_readers_writers, 123},
+    {"diamond", make_diamond, 6553},
+    {"chain", make_conflict_chain, 3640},
+    {"cyclic", make_cyclic_scheduler, 2978},
+    {"ring", make_slotted_ring, 1213},
+    {"fig3", [](std::size_t) { return make_fig3(); }, 0},
+    {"fig5", [](std::size_t) { return make_fig5(); }, 0},
+    {"fig7", [](std::size_t) { return make_fig7(); }, 0},
+};
+
+const Family* find_family(std::string_view name) {
+  for (const Family& f : kFamilies)
+    if (f.name == name) return &f;
+  return nullptr;
+}
+
+}  // namespace
+
 std::size_t spec_size(const std::string& spec) {
   auto colon = spec.find(':');
   if (colon == std::string::npos) return 0;
@@ -355,24 +392,19 @@ std::size_t spec_size(const std::string& spec) {
   if (!n || *n == 0)
     throw std::invalid_argument("model '" + spec +
                                 "': size must be a positive decimal");
+  const Family* family = find_family(std::string_view(spec).substr(0, colon));
+  if (family != nullptr && family->max_size != 0 && *n > family->max_size)
+    throw std::invalid_argument("model '" + spec + "': size too large (" +
+                                std::string(family->name) + " allows at most " +
+                                std::to_string(family->max_size) + ")");
   return *n;
 }
 
 std::optional<petri::PetriNet> make_by_spec(const std::string& spec) {
-  std::string name = spec.substr(0, spec.find(':'));
   std::size_t n = spec_size(spec);
-  if (name == "nsdp") return make_nsdp(n);
-  if (name == "asat") return make_arbiter_tree(n);
-  if (name == "over") return make_overtake(n);
-  if (name == "rw") return make_readers_writers(n);
-  if (name == "diamond") return make_diamond(n);
-  if (name == "chain") return make_conflict_chain(n);
-  if (name == "cyclic") return make_cyclic_scheduler(n);
-  if (name == "ring") return make_slotted_ring(n);
-  if (name == "fig3") return make_fig3();
-  if (name == "fig5") return make_fig5();
-  if (name == "fig7") return make_fig7();
-  return std::nullopt;
+  const Family* family = find_family(spec.substr(0, spec.find(':')));
+  if (family == nullptr) return std::nullopt;
+  return family->make(n);
 }
 
 }  // namespace gpo::models

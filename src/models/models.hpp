@@ -96,8 +96,10 @@ struct RandomNetParams {
     const std::string& spec);
 
 /// The size of a "name:size" spec, 0 when there is no ':'. Throws
-/// std::invalid_argument unless the size is a positive decimal. Cheap, so
-/// the server checks every CHECK line with it before accepting the job.
+/// std::invalid_argument unless the size is a positive decimal, and when it
+/// exceeds the named family's bound (nsdp:1260, rw:123, ...: a net of about
+/// 2^15 places, transitions and arcs). Cheap, so the server checks every
+/// CHECK line with it before accepting the job.
 [[nodiscard]] std::size_t spec_size(const std::string& spec);
 
 }  // namespace gpo::models

@@ -1,10 +1,6 @@
 #include "por/stubborn.hpp"
 
-#include <algorithm>
-#include <deque>
-#include <unordered_map>
-
-#include "util/stopwatch.hpp"
+#include "reach/search.hpp"
 
 namespace gpo::por {
 
@@ -65,8 +61,8 @@ StubbornExplorer::StubbornExplorer(const petri::PetriNet& net,
                                    StubbornOptions options)
     : net_(net), conflicts_(net), options_(options) {}
 
-std::vector<TransitionId> StubbornExplorer::ample_set(const Marking& m) const {
-  std::vector<TransitionId> enabled = net_.enabled_transitions(m);
+std::vector<TransitionId> StubbornExplorer::ample_set(
+    const Marking& m, const std::vector<TransitionId>& enabled) const {
   if (enabled.empty()) return enabled;
 
   switch (options_.strategy) {
@@ -97,131 +93,15 @@ reach::ExplorerResult StubbornExplorer::explore() const {
 
 reach::ExplorerResult StubbornExplorer::explore_from(
     const std::vector<Marking>& roots) const {
-  reach::ExplorerResult result;
-  result.fireable_transitions = util::Bitset(net_.transition_count());
-  util::Stopwatch timer;
-
-  obs::Counter* live_states = nullptr;
-  obs::Gauge* live_frontier = nullptr;
-  if (obs::kHotCountersEnabled && options_.metrics != nullptr) {
-    live_states = &options_.metrics->counter("progress.states");
-    live_frontier = &options_.metrics->gauge("progress.frontier");
-  }
-
-  std::unordered_map<Marking, std::size_t> index;
-  std::vector<Marking> states;
-  struct Breadcrumb {
-    std::size_t parent;
-    TransitionId via;
-  };
-  std::vector<Breadcrumb> breadcrumbs;
-
-  auto intern = [&](const Marking& m, std::size_t parent,
-                    TransitionId via) -> std::pair<std::size_t, bool> {
-    auto [it, inserted] = index.try_emplace(m, states.size());
-    if (inserted) {
-      states.push_back(m);
-      breadcrumbs.push_back({parent, via});
-      if (live_states != nullptr) live_states->add();
-    }
-    return {it->second, inserted};
-  };
-
-  auto reconstruct = [&](std::size_t s) {
-    std::vector<TransitionId> seq;
-    while (breadcrumbs[s].via != petri::kInvalidTransition) {
-      seq.push_back(breadcrumbs[s].via);
-      s = breadcrumbs[s].parent;
-    }
-    std::reverse(seq.begin(), seq.end());
-    return seq;
-  };
-
-  std::deque<std::size_t> frontier;
-  auto inspect = [&](std::size_t s) -> bool {
-    if (net_.is_deadlocked(states[s]) &&
-        (!options_.deadlock_filter || options_.deadlock_filter(states[s]))) {
-      ++result.deadlock_count;
-      if (!result.deadlock_found) {
-        result.deadlock_found = true;
-        result.first_deadlock = states[s];
-        result.counterexample = reconstruct(s);
-      }
-      if (options_.stop_at_first_deadlock) return true;
-    }
-    return false;
-  };
-
-  bool stopped = false;
-  for (const Marking& root : roots) {
-    auto [idx, fresh] = intern(root, 0, petri::kInvalidTransition);
-    if (fresh) {
-      frontier.push_back(idx);
-      stopped = inspect(idx);
-      if (stopped) break;
-    }
-  }
-
-  std::size_t peak_frontier = frontier.size();
-  std::vector<TransitionId> enabled;  // per-state scratch, capacity reused
-  enabled.reserve(net_.transition_count());
-  while (!frontier.empty() && !stopped) {
-    peak_frontier = std::max(peak_frontier, frontier.size());
-    if (live_frontier != nullptr)
-      live_frontier->set(static_cast<double>(frontier.size()));
-    if (states.size() > options_.max_states ||
-        timer.elapsed_seconds() > options_.max_seconds ||
-        util::cancel_requested(options_.cancel)) {
-      result.limit_hit = true;
-      result.interrupted_phase = "reduced-search";
-      break;
-    }
-    std::size_t s = frontier.front();
-    frontier.pop_front();
-    const Marking m = states[s];
-
-    net_.enabled_transitions(m, enabled);
-    for (TransitionId t : enabled) result.fireable_transitions.set(t);
-    for (TransitionId t : ample_set(m)) {
-      bool unsafe = false;
-      Marking next = net_.fire(t, m, &unsafe);
-      if (unsafe && !result.safeness_violation) {
-        result.safeness_violation = true;
-        result.unsafe_source = m;
-      }
-      ++result.edge_count;
-      auto [idx, fresh] = intern(next, s, t);
-      if (options_.build_graph)
-        result.graph.edges.push_back({s, idx, net_.transition(t).name});
-      if (fresh) {
-        frontier.push_back(idx);
-        if (inspect(idx)) {
-          stopped = true;
-          break;
-        }
-      }
-    }
-  }
-
-  result.state_count = states.size();
-  result.seconds = timer.elapsed_seconds();
-  result.stats.threads = 1;
-  result.stats.peak_frontier = peak_frontier;
-  if (result.seconds > 0)
-    result.stats.states_per_second = result.state_count / result.seconds;
-  if (options_.metrics != nullptr) {
-    std::size_t per_marking =
-        sizeof(Marking) +
-        (states.empty() ? 0 : states.front().memory_bytes());
-    reach::publish_explorer_stats(*options_.metrics, options_.metrics_prefix,
-                                  result, states.size() * per_marking);
-  }
-  if (options_.build_graph) {
-    result.graph.initial = 0;
-    for (const Marking& m : states)
-      result.graph.node_labels.push_back(reach::marking_to_string(net_, m));
-  }
-  return result;
+  return reach::breadth_first_search(
+      net_, roots, options_, "reduced-search",
+      [this](const Marking& m, const std::vector<TransitionId>& enabled) {
+        return ample_set(m, enabled);
+      },
+      [this](const Marking& m) {
+        return net_.is_deadlocked(m) &&
+               (!options_.deadlock_filter || options_.deadlock_filter(m));
+      });
 }
 
 }  // namespace gpo::por

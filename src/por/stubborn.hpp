@@ -41,28 +41,21 @@ enum class SeedStrategy {
     const petri::PetriNet& net, const petri::ConflictInfo& conflicts,
     const petri::Marking& m, const std::vector<petri::TransitionId>& seeds);
 
-struct StubbornOptions {
+struct StubbornOptions : reach::SearchOptions {
+  StubbornOptions() : SearchOptions("por.") {}
+
   SeedStrategy strategy = SeedStrategy::kBestOverSeeds;
-  std::size_t max_states = std::numeric_limits<std::size_t>::max();
-  double max_seconds = std::numeric_limits<double>::infinity();
-  /// Cooperative cancellation; see reach::ExplorerOptions::cancel.
-  const util::CancelToken* cancel = nullptr;
-  bool stop_at_first_deadlock = false;
-  bool build_graph = false;
   /// When set, only dead markings satisfying the predicate count as
   /// deadlocks (used by the safety-to-deadlock reduction to single out
   /// monitor-induced deadlocks). Stubborn sets preserve *all* deadlocks, so
   /// filtering is sound.
   std::function<bool(const petri::Marking&)> deadlock_filter;
-  /// Optional telemetry sink; see reach::ExplorerOptions::metrics.
-  obs::MetricsRegistry* metrics = nullptr;
-  std::string metrics_prefix = "por.";
 };
 
-/// Reduced-order explorer: breadth-first search that expands, per marking,
-/// only the enabled transitions of one stubborn set. Reuses
-/// reach::ExplorerResult so results are directly comparable with the
-/// exhaustive engine.
+/// Reduced-order explorer: the exhaustive engine's breadth-first search
+/// (reach/search.hpp), expanding per marking only the enabled transitions of
+/// one stubborn set. Reuses reach::ExplorerResult so results are directly
+/// comparable with the exhaustive engine.
 class StubbornExplorer {
  public:
   StubbornExplorer(const petri::PetriNet& net, StubbornOptions options = {});
@@ -76,12 +69,13 @@ class StubbornExplorer {
   [[nodiscard]] reach::ExplorerResult explore_from(
       const std::vector<petri::Marking>& roots) const;
 
-  /// The reduced successor-generating set at m (enabled transitions of the
-  /// selected stubborn set). Exposed for tests.
-  [[nodiscard]] std::vector<petri::TransitionId> ample_set(
-      const petri::Marking& m) const;
-
  private:
+  /// The reduced successor-generating set at m: the enabled transitions of
+  /// the selected stubborn set, given m's `enabled` ones (ascending).
+  [[nodiscard]] std::vector<petri::TransitionId> ample_set(
+      const petri::Marking& m,
+      const std::vector<petri::TransitionId>& enabled) const;
+
   const petri::PetriNet& net_;
   petri::ConflictInfo conflicts_;
   StubbornOptions options_;

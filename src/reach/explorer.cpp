@@ -1,10 +1,6 @@
 #include "reach/explorer.hpp"
 
-#include <algorithm>
-#include <deque>
-#include <unordered_map>
-
-#include "util/stopwatch.hpp"
+#include "reach/search.hpp"
 
 namespace gpo::reach {
 
@@ -61,7 +57,12 @@ ExplorerResult ExplicitExplorer::explore() const {
   // build_graph needs globally ordered node ids, so it stays sequential.
   if (options_.num_threads > 1 && !options_.build_graph)
     return explore_parallel();
-  return explore_sequential();
+  return breadth_first_search(
+      net_, {net_.initial_marking()}, options_, "exploration",
+      [](const Marking&, const std::vector<TransitionId>& enabled)
+          -> const std::vector<TransitionId>& { return enabled; },
+      [this](const Marking& m) { return net_.is_deadlocked(m); },
+      options_.bad_state);
 }
 
 void publish_explorer_stats(obs::MetricsRegistry& reg, std::string_view prefix,
@@ -88,165 +89,6 @@ void publish_explorer_stats(obs::MetricsRegistry& reg, std::string_view prefix,
   }
   reg.gauge("mem." + p + "visited_bytes")
       .set(static_cast<double>(visited_bytes));
-}
-
-ExplorerStats stats_from_registry(const obs::MetricsRegistry& reg,
-                                  std::string_view prefix) {
-  std::string p(prefix);
-  auto get = [&](const std::string& name) {
-    return reg.value(p + name).value_or(0.0);
-  };
-  ExplorerStats s;
-  s.threads = static_cast<std::size_t>(get("threads"));
-  s.states_per_second = get("states_per_second");
-  s.peak_frontier = static_cast<std::size_t>(get("peak_frontier"));
-  s.steal_count = static_cast<std::size_t>(get("steals"));
-  s.shard_count = static_cast<std::size_t>(get("shards"));
-  s.min_shard_size = static_cast<std::size_t>(get("min_shard_size"));
-  s.max_shard_size = static_cast<std::size_t>(get("max_shard_size"));
-  s.avg_shard_size = get("avg_shard_size");
-  return s;
-}
-
-ExplorerResult ExplicitExplorer::explore_sequential() const {
-  ExplorerResult result;
-  result.fireable_transitions = util::Bitset(net_.transition_count());
-  util::Stopwatch timer;
-
-  // Live-progress slots for the heartbeat; resolved once so the hot path is
-  // a null check plus a relaxed fetch_add.
-  obs::Counter* live_states = nullptr;
-  obs::Gauge* live_frontier = nullptr;
-  if (obs::kHotCountersEnabled && options_.metrics != nullptr) {
-    live_states = &options_.metrics->counter("progress.states");
-    live_frontier = &options_.metrics->gauge("progress.frontier");
-  }
-
-  // Index of each stored marking, plus (parent, transition) breadcrumbs for
-  // counterexample reconstruction.
-  std::unordered_map<Marking, std::size_t> index;
-  std::vector<Marking> states;
-  struct Breadcrumb {
-    std::size_t parent;
-    TransitionId via;
-  };
-  std::vector<Breadcrumb> breadcrumbs;
-
-  auto intern = [&](const Marking& m, std::size_t parent,
-                    TransitionId via) -> std::pair<std::size_t, bool> {
-    auto [it, inserted] = index.try_emplace(m, states.size());
-    if (inserted) {
-      states.push_back(m);
-      breadcrumbs.push_back({parent, via});
-      if (live_states != nullptr) live_states->add();
-    }
-    return {it->second, inserted};
-  };
-
-  auto reconstruct = [&](std::size_t s) {
-    std::vector<TransitionId> seq;
-    while (s != 0) {
-      seq.push_back(breadcrumbs[s].via);
-      s = breadcrumbs[s].parent;
-    }
-    std::reverse(seq.begin(), seq.end());
-    return seq;
-  };
-
-  std::deque<std::size_t> frontier;
-  intern(net_.initial_marking(), 0, petri::kInvalidTransition);
-  frontier.push_back(0);
-
-  auto inspect = [&](std::size_t s) -> bool {
-    // Returns true when the search should stop.
-    const Marking& m = states[s];
-    if (net_.is_deadlocked(m)) {
-      ++result.deadlock_count;
-      if (!result.deadlock_found) {
-        result.deadlock_found = true;
-        result.first_deadlock = m;
-        result.counterexample = reconstruct(s);
-      }
-      if (options_.stop_at_first_deadlock) return true;
-    }
-    if (options_.bad_state && options_.bad_state(m)) {
-      if (!result.bad_state_found) {
-        result.bad_state_found = true;
-        result.first_bad_state = m;
-      }
-      if (options_.stop_at_first_deadlock) return true;
-    }
-    return false;
-  };
-
-  bool stopped = inspect(0);
-  std::size_t peak_frontier = 1;
-  std::vector<TransitionId> enabled;  // per-state scratch, capacity reused
-  enabled.reserve(net_.transition_count());
-
-  while (!frontier.empty() && !stopped) {
-    peak_frontier = std::max(peak_frontier, frontier.size());
-    if (live_frontier != nullptr)
-      live_frontier->set(static_cast<double>(frontier.size()));
-    if (states.size() > options_.max_states ||
-        timer.elapsed_seconds() > options_.max_seconds ||
-        util::cancel_requested(options_.cancel)) {
-      result.limit_hit = true;
-      result.interrupted_phase = "exploration";
-      break;
-    }
-    std::size_t s = frontier.front();
-    frontier.pop_front();
-    const Marking m = states[s];  // copy: `states` may reallocate below
-
-    net_.enabled_transitions(m, enabled);
-    for (TransitionId t : enabled) {
-      result.fireable_transitions.set(t);
-      bool unsafe = false;
-      Marking next = net_.fire(t, m, &unsafe);
-      if (unsafe && !result.safeness_violation) {
-        result.safeness_violation = true;
-        result.unsafe_source = m;
-      }
-      ++result.edge_count;
-      auto [idx, fresh] = intern(next, s, t);
-      if (options_.build_graph)
-        result.graph.edges.push_back({s, idx, net_.transition(t).name});
-      if (fresh) {
-        frontier.push_back(idx);
-        if (inspect(idx)) {
-          stopped = true;
-          break;
-        }
-      }
-    }
-  }
-
-  result.state_count = states.size();
-  result.seconds = timer.elapsed_seconds();
-  result.stats.threads = 1;
-  result.stats.peak_frontier = peak_frontier;
-  if (result.seconds > 0)
-    result.stats.states_per_second = result.state_count / result.seconds;
-  if (options_.metrics != nullptr) {
-    // Marking payloads are uniform, so one sample prices the whole store.
-    std::size_t per_marking =
-        sizeof(Marking) +
-        (states.empty() ? 0 : states.front().memory_bytes());
-    std::size_t visited_bytes =
-        states.size() * per_marking +
-        index.bucket_count() * sizeof(void*) +
-        breadcrumbs.size() * sizeof(Breadcrumb);
-    publish_explorer_stats(*options_.metrics, options_.metrics_prefix, result,
-                           visited_bytes);
-  }
-  if (options_.build_graph) {
-    result.graph.initial = 0;
-    result.graph.node_labels.reserve(states.size());
-    for (const Marking& m : states)
-      result.graph.node_labels.push_back(marking_to_string(net_, m));
-  }
-  return result;
 }
 
 }  // namespace gpo::reach

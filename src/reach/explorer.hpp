@@ -8,6 +8,8 @@
 #include <functional>
 #include <limits>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -19,7 +21,12 @@
 
 namespace gpo::reach {
 
-struct ExplorerOptions {
+/// Option fields shared by the exhaustive and the stubborn-set explorer;
+/// both run the same breadth-first search (reach/search.hpp).
+struct SearchOptions {
+  explicit SearchOptions(std::string prefix)
+      : metrics_prefix(std::move(prefix)) {}
+
   /// Abort once this many distinct markings were stored.
   std::size_t max_states = std::numeric_limits<std::size_t>::max();
   /// Abort after this much wall-clock time.
@@ -32,8 +39,21 @@ struct ExplorerOptions {
   bool stop_at_first_deadlock = false;
   /// Record the full reachability graph (states + labeled edges). Only
   /// sensible for small nets; used by tests and DOT dumps. Forces the
-  /// sequential path regardless of num_threads.
+  /// exhaustive engine onto its sequential path regardless of num_threads.
   bool build_graph = false;
+  /// Optional telemetry sink. When set, the engine bumps the live
+  /// "progress.states" / "progress.frontier" slots during the search (unless
+  /// hot counters are compiled out) and publishes its final counters under
+  /// `metrics_prefix` before returning. Results are bit-identical with or
+  /// without a registry attached.
+  obs::MetricsRegistry* metrics = nullptr;
+  /// Name prefix of the published counters, e.g. "engine.full.".
+  std::string metrics_prefix;
+};
+
+struct ExplorerOptions : SearchOptions {
+  ExplorerOptions() : SearchOptions("full.") {}
+
   /// Optional safety property: exploration reports (and, with
   /// stop_at_first_deadlock, stops at) markings where this returns true.
   /// With num_threads > 1 the predicate is invoked concurrently from worker
@@ -43,17 +63,6 @@ struct ExplorerOptions {
   /// BFS; N > 1 runs the sharded parallel engine, which reports identical
   /// counts but a nondeterministic (always replayable) counterexample.
   std::size_t num_threads = 1;
-  /// Stripes of the concurrent marking set. 0 = auto (scales with
-  /// num_threads). Ignored on the sequential path.
-  std::size_t shard_count = 0;
-  /// Optional telemetry sink. When set, the engine bumps the live
-  /// "progress.states" / "progress.frontier" slots during the search (unless
-  /// hot counters are compiled out) and publishes its final counters under
-  /// `metrics_prefix` before returning. Results are bit-identical with or
-  /// without a registry attached.
-  obs::MetricsRegistry* metrics = nullptr;
-  /// Name prefix of the published counters, e.g. "engine.full.".
-  std::string metrics_prefix = "full.";
   /// Structural net reduction applied by explore() before the search: the
   /// exploration runs on the reduced net and the deadlock counterexample /
   /// witness are mapped back to the input net through the certificate
@@ -132,7 +141,6 @@ class ExplicitExplorer {
   [[nodiscard]] ExplorerResult explore() const;
 
  private:
-  [[nodiscard]] ExplorerResult explore_sequential() const;
   [[nodiscard]] ExplorerResult explore_parallel() const;
 
   const petri::PetriNet& net_;
@@ -146,12 +154,6 @@ class ExplicitExplorer {
 void publish_explorer_stats(obs::MetricsRegistry& reg, std::string_view prefix,
                             const ExplorerResult& result,
                             std::size_t visited_bytes);
-
-/// Reconstructs the ExplorerStats view from counters previously published
-/// under `prefix` — the registry is the source of truth, the struct a
-/// convenience view (missing names read as zero).
-[[nodiscard]] ExplorerStats stats_from_registry(const obs::MetricsRegistry& reg,
-                                                std::string_view prefix);
 
 /// Renders a marking as the set of marked place names, e.g. "{p0,p3}".
 [[nodiscard]] std::string marking_to_string(const petri::PetriNet& net,

@@ -169,8 +169,7 @@ void worker(SharedSearch& shared, std::size_t me, WorkerTally& tally) {
 
 ExplorerResult ExplicitExplorer::explore_parallel() const {
   const std::size_t threads = options_.num_threads;
-  std::size_t shards = options_.shard_count;
-  if (shards == 0) shards = std::max<std::size_t>(16, 4 * threads);
+  const std::size_t shards = std::max<std::size_t>(16, 4 * threads);
 
   SharedSearch shared(net_, options_, threads, shards);
   if (obs::kHotCountersEnabled && options_.metrics != nullptr) {

@@ -25,37 +25,20 @@ void finish_outcome(EngineOutcome& out, bool deadlock, bool limit_hit,
                               : "aborted";
 }
 
-EngineOutcome run_explicit(const petri::PetriNet& net, const RunLimits& limits,
-                           const util::CancelToken* cancel,
-                           obs::MetricsRegistry* metrics) {
-  reach::ExplorerOptions opt;
+/// The `full` and `por` racers: the same search, two successor rules.
+template <typename Explorer, typename Options>
+EngineOutcome run_search(const char* name, const petri::PetriNet& net,
+                         const RunLimits& limits,
+                         const util::CancelToken* cancel,
+                         obs::MetricsRegistry* metrics) {
+  Options opt;
   opt.max_states = limits.max_states;
   opt.max_seconds = limits.max_seconds;
   opt.cancel = cancel;
   opt.stop_at_first_deadlock = true;
   opt.metrics = metrics;
-  opt.metrics_prefix = "engine.full.";
-  auto r = reach::ExplicitExplorer(net, opt).explore();
-  EngineOutcome out;
-  out.states = static_cast<double>(r.state_count);
-  out.seconds = r.seconds;
-  out.aborted_phase = r.interrupted_phase;
-  out.counterexample = r.counterexample;
-  finish_outcome(out, r.deadlock_found, r.limit_hit, cancel);
-  return out;
-}
-
-EngineOutcome run_por(const petri::PetriNet& net, const RunLimits& limits,
-                      const util::CancelToken* cancel,
-                      obs::MetricsRegistry* metrics) {
-  por::StubbornOptions opt;
-  opt.max_states = limits.max_states;
-  opt.max_seconds = limits.max_seconds;
-  opt.cancel = cancel;
-  opt.stop_at_first_deadlock = true;
-  opt.metrics = metrics;
-  opt.metrics_prefix = "engine.por.";
-  auto r = por::StubbornExplorer(net, opt).explore();
+  opt.metrics_prefix = std::string("engine.") + name + ".";
+  auto r = Explorer(net, opt).explore();
   EngineOutcome out;
   out.states = static_cast<double>(r.state_count);
   out.seconds = r.seconds;
@@ -162,8 +145,16 @@ std::vector<std::string> EngineRegistry::names() const {
 const EngineRegistry& default_engine_registry() {
   static const EngineRegistry kRegistry = [] {
     EngineRegistry reg;
-    reg.add("full", run_explicit);
-    reg.add("por", run_por);
+    reg.add("full", [](const petri::PetriNet& net, const RunLimits& l,
+                       const util::CancelToken* c, obs::MetricsRegistry* m) {
+      return run_search<reach::ExplicitExplorer, reach::ExplorerOptions>(
+          "full", net, l, c, m);
+    });
+    reg.add("por", [](const petri::PetriNet& net, const RunLimits& l,
+                      const util::CancelToken* c, obs::MetricsRegistry* m) {
+      return run_search<por::StubbornExplorer, por::StubbornOptions>(
+          "por", net, l, c, m);
+    });
     reg.add("bdd", run_bdd);
     reg.add("gpo", [](const petri::PetriNet& net, const RunLimits& l,
                       const util::CancelToken* c, obs::MetricsRegistry* m) {

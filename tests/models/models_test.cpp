@@ -58,6 +58,32 @@ TEST(Models, SpecSizeMustBeAPositiveDecimal) {
   EXPECT_FALSE(make_by_spec("nosuch:3").has_value());
 }
 
+TEST(Models, SpecSizeIsBoundedPerFamily) {
+  // The largest size of each family builds a net of at most 2^15 places,
+  // transitions and arcs; one more is rejected before anything is
+  // allocated, as are sizes far past it.
+  for (const char* ok : {"nsdp:1260", "asat:512", "over:936", "rw:123",
+                         "diamond:6553", "chain:3640", "cyclic:2978",
+                         "ring:1213"}) {
+    std::optional<PetriNet> net = make_by_spec(ok);
+    ASSERT_TRUE(net.has_value()) << ok;
+    std::size_t elements = net->place_count() + net->transition_count();
+    for (petri::TransitionId t = 0; t < net->transition_count(); ++t) {
+      const petri::Transition& tr = net->transition(t);
+      elements += tr.pre.size() + tr.post.size();
+    }
+    EXPECT_LE(elements, std::size_t{1} << 15) << ok;
+  }
+  for (const char* big : {"nsdp:1261", "asat:1024", "over:937", "rw:124",
+                          "diamond:6554", "chain:3641", "cyclic:2979",
+                          "ring:1214", "nsdp:99999999", "rw:100000",
+                          "ring:18446744073709551615"}) {
+    EXPECT_THROW((void)spec_size(big), std::invalid_argument) << big;
+    EXPECT_THROW((void)make_by_spec(big), std::invalid_argument) << big;
+  }
+  EXPECT_EQ(spec_size("fig7:99999999"), 99999999u);  // fixed nets ignore it
+}
+
 class SafenessCheck
     : public ::testing::TestWithParam<std::pair<const char*, PetriNet>> {};
 

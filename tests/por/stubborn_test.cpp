@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "models/models.hpp"
+#include "obs/metrics.hpp"
 #include "petri/builder.hpp"
 #include "reach/explorer.hpp"
 
@@ -149,6 +152,39 @@ TEST(StubbornExplorer, ExploreFromMultipleRootsDeduplicates) {
   auto one = StubbornExplorer(net).explore_from({m0});
   auto twice = StubbornExplorer(net).explore_from({m0, m0});
   EXPECT_EQ(one.state_count, twice.state_count);
+}
+
+TEST(StubbornExplorer, PublishesTheExhaustiveEnginesAccounting) {
+  // A single token on a cycle: every stubborn set is the one enabled
+  // transition, so both engines do the same search and must report the same
+  // counters, visited-store bytes included.
+  constexpr std::size_t kPlaces = 6;
+  petri::NetBuilder bld;
+  std::vector<petri::PlaceId> ring;
+  for (std::size_t i = 0; i < kPlaces; ++i)
+    ring.push_back(bld.add_place("p" + std::to_string(i), i == 0));
+  for (std::size_t i = 0; i < kPlaces; ++i)
+    bld.connect(bld.add_transition("t" + std::to_string(i)), {ring[i]},
+                {ring[(i + 1) % kPlaces]});
+  PetriNet net = bld.build();
+
+  obs::MetricsRegistry reg;
+  reach::ExplorerOptions eo;
+  eo.metrics = &reg;
+  auto full = reach::ExplicitExplorer(net, eo).explore();
+  StubbornOptions so;
+  so.metrics = &reg;
+  auto por = StubbornExplorer(net, so).explore();
+  EXPECT_EQ(full.state_count, kPlaces);
+  EXPECT_EQ(por.state_count, full.state_count);
+  EXPECT_EQ(por.edge_count, full.edge_count);
+  for (const char* name : {"states", "edges"})
+    EXPECT_EQ(reg.value(std::string("por.") + name),
+              reg.value(std::string("full.") + name))
+        << name;
+  ASSERT_TRUE(reg.value("mem.full.visited_bytes").has_value());
+  EXPECT_EQ(reg.value("mem.por.visited_bytes"),
+            reg.value("mem.full.visited_bytes"));
 }
 
 TEST(StubbornExplorer, StateLimit) {

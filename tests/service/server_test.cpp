@@ -90,18 +90,22 @@ TEST(Server, MalformedLinesGetErrAndDoNotKillTheSession) {
       "CHECK fig7 engines=smt\n"
       "CHECK nsdp:-1\n"
       "CHECK nsdp:abc\n"
+      "CHECK rw:100000\n"
       "CHECK fig7 threads=4\n"
       "CHECK fig7\n"
       "QUIT\n");
   std::vector<std::string> errs;
   for (const std::string& l : lines)
     if (l.rfind("ERR", 0) == 0) errs.push_back(l);
-  ASSERT_EQ(errs.size(), 5u)
-      << "unknown verb, unknown engine, two bad sizes, unknown key";
+  ASSERT_EQ(errs.size(), 6u) << "unknown verb, unknown engine, two bad "
+                                "sizes, a too-large size, unknown key";
   EXPECT_NE(errs[2].find("size must be a positive decimal"), std::string::npos)
       << errs[2];
-  EXPECT_NE(errs[4].find("unknown key 'threads'"), std::string::npos)
+  EXPECT_NE(errs[4].find("model 'rw:100000': size too large"),
+            std::string::npos)
       << errs[4];
+  EXPECT_NE(errs[5].find("unknown key 'threads'"), std::string::npos)
+      << errs[5];
   ASSERT_EQ(verdicts(lines).size(), 1u);
   EXPECT_EQ(lines.back(), "BYE 1");
 }
