@@ -167,11 +167,10 @@ Row run_row(const std::string& label, const PetriNet& net, double budget,
       // the pipeline, not a mismatch.
       if (!reduced.limit_hit && !interned.limit_hit)
         reduced_ok = reduced.deadlock_found == interned.deadlock_found;
-      if (reduced.deadlock_found && !reduced.counterexample.empty()) {
-        auto mapped = red.certificate.map_to_original(reduced.counterexample);
-        auto end = gpo::reduce::replay_trace(net, mapped);
-        reduced_ok &= end.has_value() && net.is_deadlocked(*end);
-      }
+      if (reduced.deadlock_found && !reduced.counterexample.empty())
+        reduced_ok &= gpo::reduce::map_counterexample(net, red.certificate,
+                                                      reduced.counterexample)
+                          .deadlock.has_value();
     }
   }
 

@@ -20,6 +20,7 @@
 // once per instance and feeds every engine the reduced net (verdicts are
 // preserved by construction; see src/reduce/). The CSV gains the
 // before/after place and transition counts plus the reduction time.
+#include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iomanip>
@@ -29,114 +30,79 @@
 #include <string>
 #include <vector>
 
-#include "bdd/symbolic_reach.hpp"
-#include "core/gpo.hpp"
+#include "engine/engine.hpp"
 #include "models/models.hpp"
 #include "obs/report.hpp"
-#include "por/stubborn.hpp"
-#include "reach/explorer.hpp"
 #include "reduce/reduce.hpp"
 
 namespace {
 
 using gpo::petri::PetriNet;
 
-struct Cell {
-  double value = 0;   // states or nodes
-  double seconds = 0;
-  bool aborted = false;
-  bool deadlock = false;
-};
+using gpo::engine::EngineOutcome;
 
 struct Row {
   std::string problem;
-  Cell full, por, smv, gpo;
-  double smv_states = -1;  // the smv cell's value is peak nodes
+  EngineOutcome full, por, smv, gpo;
   std::size_t gpo_delegated = 0;
-  // --reduce: pre-engine net shrink (before == after when off / no-op).
-  std::size_t places_before = 0, places_after = 0;
-  std::size_t transitions_before = 0, transitions_after = 0;
-  double reduce_seconds = 0;
 };
 
-std::string fmt_count(const Cell& c) {
-  if (c.aborted) return "> cap";
+/// `value` is the cell's states, or the bdd cell's peak arena size.
+std::string fmt_count(const EngineOutcome& o, double value) {
+  if (o.aborted) return "> cap";
   std::ostringstream ss;
-  if (c.value >= 1e7)
-    ss << std::scientific << std::setprecision(2) << c.value;
+  if (value >= 1e7)
+    ss << std::scientific << std::setprecision(2) << value;
   else
-    ss << static_cast<long long>(c.value);
+    ss << static_cast<long long>(value);
   return ss.str();
 }
 
-std::string fmt_time(const Cell& c) {
-  if (c.aborted) return "-";
+std::string fmt_time(const EngineOutcome& o) {
+  if (o.aborted) return "-";
   std::ostringstream ss;
-  ss << std::fixed << std::setprecision(c.seconds < 0.01 ? 4 : 2) << c.seconds;
+  ss << std::fixed << std::setprecision(o.seconds < 0.01 ? 4 : 2)
+     << o.seconds;
   return ss.str();
+}
+
+double peak(const EngineOutcome& o) {
+  return static_cast<double>(o.peak_nodes);
 }
 
 Row run_row(const std::string& name, const PetriNet& net, double budget,
-            std::size_t threads,
-            gpo::obs::MetricsRegistry* reg) {
-  // Each engine publishes its counters under its default prefix ("full.",
-  // "por.", "bdd.", "gpo.") into the per-row registry for --report.
+            std::size_t threads, gpo::obs::MetricsRegistry& reg) {
+  // Each engine publishes its counters under "engine.<name>." into the
+  // per-row registry, for --report and the GPO-deleg column.
+  auto run = [&](const char* engine, std::size_t max_states = SIZE_MAX) {
+    gpo::engine::EngineRequest req;
+    req.max_seconds = budget;
+    req.max_states = max_states;
+    req.threads = threads;  // only the exhaustive engine uses it
+    req.metrics = &reg;
+    return gpo::engine::run(engine, net, req);
+  };
   Row row;
   row.problem = name;
-
-  {
-    gpo::reach::ExplorerOptions opt;
-    opt.max_seconds = budget;
-    opt.max_states = 50'000'000;
-    opt.num_threads = threads;
-    opt.metrics = reg;
-    auto r = gpo::reach::ExplicitExplorer(net, opt).explore();
-    row.full = {static_cast<double>(r.state_count), r.seconds, r.limit_hit,
-                r.deadlock_found};
-  }
-  {
-    gpo::por::StubbornOptions opt;
-    opt.max_seconds = budget;
-    opt.metrics = reg;
-    auto r = gpo::por::StubbornExplorer(net, opt).explore();
-    row.por = {static_cast<double>(r.state_count), r.seconds, r.limit_hit,
-               r.deadlock_found};
-  }
-  {
-    gpo::bdd::SymbolicOptions opt;
-    opt.max_seconds = budget;
-    opt.metrics = reg;
-    auto r = gpo::bdd::SymbolicReachability(net, opt).analyze();
-    row.smv = {static_cast<double>(r.peak_nodes), r.seconds, r.blowup,
-               r.deadlock_found};
-    row.smv_states = r.state_count;
-  }
-  {
-    gpo::core::GpoOptions opt;
-    opt.max_seconds = budget;
-    opt.metrics = reg;
-    auto r = gpo::core::run_gpo(net, gpo::core::FamilyKind::kBdd, opt);
-    row.gpo = {static_cast<double>(r.state_count), r.seconds, r.limit_hit,
-               r.deadlock_found};
-    row.gpo_delegated = r.delegated_states;
-  }
+  row.full = run("full", 50'000'000);
+  row.por = run("por");
+  row.smv = run("bdd");
+  row.gpo = run("gpo-bdd");
+  row.gpo_delegated = reg.counter("engine.gpo-bdd.delegated_states").value();
   return row;
 }
 
-gpo::obs::RunReport::EngineRun engine_run(const std::string& engine,
-                                          const std::string& model,
-                                          const Cell& c, double states,
-                                          const gpo::obs::MetricsRegistry& reg,
-                                          const std::string& prefix) {
+gpo::obs::RunReport::EngineRun engine_run(const std::string& model,
+                                          const EngineOutcome& o,
+                                          const gpo::obs::MetricsRegistry& reg) {
   gpo::obs::RunReport::EngineRun er;
-  er.engine = engine;
+  er.engine = o.engine;
   er.model = model;
-  er.verdict =
-      c.aborted ? "aborted" : (c.deadlock ? "deadlock" : "no-deadlock");
-  er.states = states;
-  er.seconds = c.seconds;
-  er.aborted = c.aborted;
-  er.counters = gpo::obs::registry_to_json(reg, prefix);
+  er.verdict = o.verdict;
+  er.states = o.states;
+  er.seconds = o.seconds;
+  er.aborted = o.aborted;
+  er.counters = gpo::obs::registry_to_json(reg, "engine." + o.engine + ".");
   return er;
 }
 
@@ -250,64 +216,45 @@ int main(int argc, char** argv) {
     // accumulating across rows.
     gpo::obs::MetricsRegistry reg;
     const PetriNet* net = &inst.net;
-    std::optional<PetriNet> reduced;
-    Row red_stats;
+    std::optional<gpo::reduce::ReductionResult> red;
     if (reducing) {
       gpo::reduce::ReduceOptions ro;
       ro.level = reduce_level;
-      gpo::reduce::ReductionResult red = gpo::reduce::reduce_net(inst.net, ro);
-      red_stats.places_before = red.stats.places_before;
-      red_stats.places_after = red.stats.places_after;
-      red_stats.transitions_before = red.stats.transitions_before;
-      red_stats.transitions_after = red.stats.transitions_after;
-      red_stats.reduce_seconds = red.stats.seconds;
-      reduced.emplace(std::move(red.net));
-      net = &*reduced;
+      red.emplace(gpo::reduce::reduce_net(inst.net, ro));
+      net = &red->net;
     }
-    Row row = run_row(inst.label, *net, budget, threads,
-                      report_path.empty() ? nullptr : &reg);
-    row.places_before = red_stats.places_before;
-    row.places_after = red_stats.places_after;
-    row.transitions_before = red_stats.transitions_before;
-    row.transitions_after = red_stats.transitions_after;
-    row.reduce_seconds = red_stats.reduce_seconds;
+    Row row = run_row(inst.label, *net, budget, threads, reg);
     std::cout << std::left << std::setw(10) << row.problem << std::right;
     if (reducing) {
       std::ostringstream nets;
-      nets << row.places_before << "p/" << row.transitions_before << "t->"
-           << row.places_after << "p/" << row.transitions_after << "t";
+      nets << red->stats.places_before << "p/"
+           << red->stats.transitions_before << "t->"
+           << red->stats.places_after << "p/"
+           << red->stats.transitions_after << "t";
       std::cout << std::setw(20) << nets.str();
     }
-    std::cout << std::setw(10) << fmt_count(row.full)       //
-              << std::setw(10) << fmt_count(row.por)        //
-              << std::setw(9) << fmt_time(row.por)          //
-              << std::setw(12) << fmt_count(row.smv)        //
-              << std::setw(9) << fmt_time(row.smv)          //
-              << std::setw(11) << fmt_count(row.gpo)        //
-              << std::setw(9) << fmt_time(row.gpo)          //
+    std::cout << std::setw(10) << fmt_count(row.full, row.full.states)  //
+              << std::setw(10) << fmt_count(row.por, row.por.states)    //
+              << std::setw(9) << fmt_time(row.por)                      //
+              << std::setw(12) << fmt_count(row.smv, peak(row.smv))     //
+              << std::setw(9) << fmt_time(row.smv)                      //
+              << std::setw(11) << fmt_count(row.gpo, row.gpo.states)    //
+              << std::setw(9) << fmt_time(row.gpo)                      //
               << std::setw(11) << row.gpo_delegated << "\n"
               << std::flush;
-    csv << row.problem << ',' << row.full.value << ',' << row.full.seconds
-        << ',' << row.por.value << ',' << row.por.seconds << ','
-        << row.smv.value << ',' << row.smv.seconds << ',' << row.gpo.value
+    csv << row.problem << ',' << row.full.states << ',' << row.full.seconds
+        << ',' << row.por.states << ',' << row.por.seconds << ','
+        << peak(row.smv) << ',' << row.smv.seconds << ',' << row.gpo.states
         << ',' << row.gpo.seconds << ',' << row.gpo_delegated;
     if (reducing)
-      csv << ',' << row.places_before << ',' << row.places_after << ','
-          << row.transitions_before << ',' << row.transitions_after << ','
-          << row.reduce_seconds;
+      csv << ',' << red->stats.places_before << ','
+          << red->stats.places_after << ','
+          << red->stats.transitions_before << ','
+          << red->stats.transitions_after << ',' << red->stats.seconds;
     csv << "\n";
-    if (!report_path.empty()) {
-      report.add_engine(
-          engine_run("full", inst.label, row.full, row.full.value, reg,
-                     "full."));
-      report.add_engine(
-          engine_run("por", inst.label, row.por, row.por.value, reg, "por."));
-      report.add_engine(
-          engine_run("bdd", inst.label, row.smv, row.smv_states, reg, "bdd."));
-      report.add_engine(
-          engine_run("gpo-bdd", inst.label, row.gpo, row.gpo.value, reg,
-                     "gpo."));
-    }
+    if (!report_path.empty())
+      for (const EngineOutcome* o : {&row.full, &row.por, &row.smv, &row.gpo})
+        report.add_engine(engine_run(inst.label, *o, reg));
   }
   std::cout << "\nCSV written to " << csv_path << "\n";
   if (!report_path.empty()) {

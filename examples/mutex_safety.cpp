@@ -45,12 +45,10 @@ int main(int argc, char** argv) {
 
   std::cout << "mutual exclusion of crit_" << n << " and crit_" << n + 1
             << " via the deadlock reduction:\n";
-  using gpo::safety::Engine;
-  for (auto [engine, name] :
-       {std::pair{Engine::kExplicit, "exhaustive"},
-        std::pair{Engine::kStubborn, "stubborn  "},
-        std::pair{Engine::kSymbolic, "symbolic  "},
-        std::pair{Engine::kGpoBdd, "gpo (bdd) "}}) {
+  for (auto [engine, name] : {std::pair{"full", "exhaustive"},
+                              std::pair{"por", "stubborn  "},
+                              std::pair{"bdd", "symbolic  "},
+                              std::pair{"gpo-bdd", "gpo (bdd) "}}) {
     gpo::safety::SafetyOptions opt;
     opt.engine = engine;
     opt.max_seconds = 60;
@@ -64,8 +62,7 @@ int main(int argc, char** argv) {
   // its critical section.
   gpo::safety::SafetyProperty reachable{
       {net.find_place("crit_" + std::to_string(n))}};
-  auto r = gpo::safety::check_safety(net, reachable,
-                                     {gpo::safety::Engine::kGpoBdd});
+  auto r = gpo::safety::check_safety(net, reachable);  // gpo-bdd
   std::cout << "\ncontrol check — 'crit_" << n << " is never marked': "
             << (r.violated ? "correctly refuted" : "UNEXPECTEDLY held");
   if (r.witness)

@@ -23,8 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "bdd/symbolic_reach.hpp"
-#include "core/gpo.hpp"
+#include "engine/engine.hpp"
 #include "mc/ctl.hpp"
 #include "models/models.hpp"
 #include "obs/diag.hpp"
@@ -38,18 +37,24 @@
 #include "parser/pnml.hpp"
 #include "petri/dot.hpp"
 #include "petri/structure.hpp"
-#include "por/stubborn.hpp"
 #include "reach/explorer.hpp"
 #include "reduce/reduce.hpp"
 #include "safety/safety.hpp"
 #include "service/service_cli.hpp"
-#include "unfold/unfolding.hpp"
 #include "util/parse_number.hpp"
-#include "util/stopwatch.hpp"
 
 namespace {
 
+using gpo::engine::EngineOutcome;
 using gpo::petri::PetriNet;
+
+/// The engine table's names joined by `sep`, e.g. for the usage text.
+std::string engine_list(const char* sep) {
+  std::string out;
+  for (const std::string& e : gpo::engine::names())
+    out += (out.empty() ? "" : sep) + e;
+  return out;
+}
 
 int usage(const char* argv0) {
   std::cerr
@@ -64,8 +69,7 @@ int usage(const char* argv0) {
       << "  --model NAME:N     built-in model instead of a net file; NAME in\n"
       << "                     {nsdp, asat, over, rw, diamond, chain,\n"
       << "                      fig3, fig5, fig7}\n"
-      << "  --engine E         full | por | bdd | gpo | gpo-intern |\n"
-      << "                     gpo-bdd | unfold | all\n"
+      << "  --engine E         " << engine_list(" | ") << " | all\n"
       << "                     (default: gpo)\n"
       << "  --family-store S   explicit | zdd — family storage backend for\n"
       << "                     the gpo/gpo-intern engines (default explicit;\n"
@@ -84,7 +88,8 @@ int usage(const char* argv0) {
       << "                     --safety/--ctl/--liveness/--structure, which\n"
       << "                     inspect original-net markings\n"
       << "  --safety P1,P2,..  check 'P1..Pk never simultaneously marked'\n"
-      << "                     via the deadlock reduction (uses --engine)\n"
+      << "                     via the deadlock reduction (uses --engine;\n"
+      << "                     any engine but unfold)\n"
       << "  --liveness         report transitions that can never fire\n"
       << "  --structure        siphon/trap and invariant analysis\n"
       << "  --max-states N     state cap for explicit engines\n"
@@ -113,17 +118,7 @@ int usage(const char* argv0) {
   return 2;
 }
 
-struct Row {
-  std::string engine;
-  double states = -1;  // -1: not applicable
-  std::size_t peak_bdd = 0;
-  bool deadlock = false;
-  bool aborted = false;
-  std::string aborted_phase;  // which phase the limit interrupted
-  double seconds = 0;
-};
-
-void print_row(const Row& r) {
+void print_outcome(const EngineOutcome& r) {
   std::cout << "  " << r.engine << ": ";
   if (r.aborted) {
     std::cout << "ABORTED (limit hit";
@@ -131,7 +126,7 @@ void print_row(const Row& r) {
     std::cout << ")";
   } else {
     if (r.states >= 0) std::cout << "states=" << r.states << " ";
-    if (r.peak_bdd > 0) std::cout << "peak-bdd=" << r.peak_bdd << " ";
+    if (r.peak_nodes > 0) std::cout << "peak-bdd=" << r.peak_nodes << " ";
     std::cout << (r.deadlock ? "DEADLOCK" : "no deadlock");
   }
   std::cout << "  (" << r.seconds << "s)\n";
@@ -342,6 +337,22 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Engine names are checked before any net is built or output file opened.
+  if (engine != "all" && !gpo::engine::is_engine(engine)) {
+    std::cerr << "unknown engine '" << engine << "'; use one of "
+              << engine_list(", ") << " or all\n";
+    return 2;
+  }
+  if (!safety_spec.empty() && !gpo::safety::supports_engine(engine)) {
+    std::string accepted;
+    for (const std::string& e : gpo::engine::names())
+      if (gpo::safety::supports_engine(e))
+        accepted += (accepted.empty() ? "" : ", ") + e;
+    std::cerr << "--safety cannot run engine '" << engine
+              << "'; use one of " << accepted << "\n";
+    return 2;
+  }
+
   // Only the exhaustive explorer is parallel; say so rather than silently
   // running the chosen engine on one thread.
   const bool threads_used =
@@ -532,16 +543,18 @@ int main(int argc, char** argv) {
     gpo::safety::SafetyOptions opt;
     opt.max_states = max_states;
     opt.max_seconds = max_seconds;
+    opt.family_store = family_store;
     opt.metrics = reg;
     opt.tracer = tr;
-    opt.engine = engine == "full"  ? gpo::safety::Engine::kExplicit
-                 : engine == "por" ? gpo::safety::Engine::kStubborn
-                 : engine == "bdd" ? gpo::safety::Engine::kSymbolic
-                 : engine == "gpo" ? gpo::safety::Engine::kGpo
-                 : engine == "gpo-intern"
-                     ? gpo::safety::Engine::kGpoInterned
-                     : gpo::safety::Engine::kGpoBdd;
-    auto r = gpo::safety::check_safety(*net, prop, opt);
+    opt.engine = engine;
+    gpo::safety::SafetyResult r;
+    try {
+      r = gpo::safety::check_safety(*net, prop, opt);
+    } catch (const std::exception& e) {
+      std::cout << "safety '" << safety_spec << "': failed: " << e.what()
+                << "\n";
+      return finish(1);
+    }
     std::cout << "safety '" << safety_spec << "': "
               << (r.violated ? "VIOLATED" : (r.limit_hit ? "UNDECIDED (limit)"
                                                          : "holds"))
@@ -562,11 +575,11 @@ int main(int argc, char** argv) {
     er.aborted_phase = r.interrupted_phase;
     er.counters = gpo::obs::registry_to_json(registry, "safety.");
     report.add_engine(std::move(er));
-    return finish(r.violated ? 10 : 0);
+    return finish(r.violated ? 10 : r.limit_hit ? 1 : 0);
   }
 
-  // Structural reduction, applied ONCE here so every racing engine sees the
-  // same (smaller) net; the engines themselves keep their reduce options off.
+  // Structural reduction, applied ONCE here so every engine sees the same
+  // (smaller) net; engines analyze whichever net they are given.
   // The verdict transfers through the certificate; counterexamples are mapped
   // back and replayed on the original net below (replay is the acceptance
   // oracle). Property analyses above run on the original net.
@@ -599,27 +612,23 @@ int main(int argc, char** argv) {
   // and replay it on the original net. A failure here is a reduction bug, not
   // a property of the net — surface it loudly and fail the run.
   bool certificate_violation = false;
-  auto accept_counterexample =
-      [&](const std::string& e,
-          const std::vector<gpo::petri::TransitionId>& trace) {
-        if (!certificate || trace.empty()) return;
-        std::vector<gpo::petri::TransitionId> mapped =
-            certificate->map_to_original(trace);
-        std::optional<gpo::petri::Marking> end =
-            gpo::reduce::replay_trace(*net, mapped);
-        if (!end.has_value() || !net->is_deadlocked(*end)) {
-          std::cerr << "ERROR: " << e << " counterexample does not replay to "
-                    << "a deadlock on the original net (reduction "
-                    << "certificate violation)\n";
-          certificate_violation = true;
-        }
-      };
+  auto accept_counterexample = [&](const EngineOutcome& out) {
+    if (!certificate || out.counterexample.empty()) return;
+    if (!gpo::reduce::map_counterexample(*net, *certificate,
+                                         out.counterexample)
+             .deadlock.has_value()) {
+      std::cerr << "ERROR: " << out.engine << " counterexample does not "
+                << "replay to a deadlock on the original net (reduction "
+                << "certificate violation)\n";
+      certificate_violation = true;
+    }
+  };
 
+  // The verdict contract: engines that reached a verdict set the exit code
+  // (10 on any deadlock, else 0); a run where none did exits 1.
+  bool any_verdict = false;
   bool any_deadlock = false;
-  bool any_failed = false;
   auto run_one = [&](const std::string& e) {
-    Row row;
-    row.engine = e;
     const std::string prefix = "engine." + e + ".";
     if (reg != nullptr) {
       // The live-progress slots are shared between engines; reset them so
@@ -628,119 +637,54 @@ int main(int argc, char** argv) {
       reg->gauge("progress.frontier").set(0);
     }
     gpo::obs::Span span(tr, "engine/" + e);
+    gpo::obs::RunReport::EngineRun er;
+    er.engine = e;
+    er.model = model_spec.empty() ? net_file : model_spec;
+    gpo::engine::EngineRequest req;
+    req.max_states = max_states;
+    req.max_seconds = max_seconds;
+    req.threads = num_threads;
+    req.family_store = family_store;
+    req.metrics = reg;
+    req.metrics_prefix = prefix;
+    req.tracer = tr;
+    EngineOutcome out;
     try {
-      if (e == "full") {
-        gpo::reach::ExplorerOptions opt;
-        opt.max_states = max_states;
-        opt.max_seconds = max_seconds;
-        opt.num_threads = num_threads;
-        opt.metrics = reg;
-        opt.metrics_prefix = prefix;
-        auto r = gpo::reach::ExplicitExplorer(*analysis_net, opt).explore();
-        row = {e, static_cast<double>(r.state_count), 0, r.deadlock_found,
-               r.limit_hit, r.interrupted_phase, r.seconds};
-        if (r.deadlock_found) accept_counterexample(e, r.counterexample);
-        if (r.safeness_violation)
-          gpo::obs::diag_line("  WARNING: net is not 1-safe");
-      } else if (e == "por") {
-        gpo::por::StubbornOptions opt;
-        opt.max_states = max_states;
-        opt.max_seconds = max_seconds;
-        opt.metrics = reg;
-        opt.metrics_prefix = prefix;
-        auto r = gpo::por::StubbornExplorer(*analysis_net, opt).explore();
-        row = {e, static_cast<double>(r.state_count), 0, r.deadlock_found,
-               r.limit_hit, r.interrupted_phase, r.seconds};
-        if (r.deadlock_found) accept_counterexample(e, r.counterexample);
-      } else if (e == "bdd") {
-        gpo::bdd::SymbolicOptions opt;
-        opt.max_seconds = max_seconds;
-        opt.metrics = reg;
-        opt.metrics_prefix = prefix;
-        auto r = gpo::bdd::SymbolicReachability(*analysis_net, opt).analyze();
-        row = {e,        r.state_count,
-               r.peak_nodes, r.deadlock_found,
-               r.blowup, r.blowup ? "symbolic-fixpoint" : "",
-               r.seconds};
-      } else if (e == "unfold") {
-        gpo::unfold::UnfoldOptions opt;
-        opt.metrics = reg;
-        opt.metrics_prefix = prefix;
-        gpo::util::Stopwatch watch;
-        auto p = gpo::unfold::unfold(*analysis_net, opt);
-        row.seconds = watch.elapsed_seconds();
-        row.aborted = p.limit_hit;
-        std::cout << "  unfold: events=" << p.events.size()
-                  << " conditions=" << p.conditions.size()
-                  << " cutoffs=" << p.cutoff_count
-                  << (p.limit_hit ? " (limit hit)" : "") << "\n";
-      } else if (e == "gpo" || e == "gpo-bdd" || e == "gpo-intern") {
-        gpo::core::GpoOptions opt;
-        opt.max_states = max_states;
-        opt.max_seconds = max_seconds;
-        opt.metrics = reg;
-        opt.metrics_prefix = prefix;
-        opt.tracer = tr;
-        opt.family_store = family_store;
-        auto kind = e == "gpo"       ? gpo::core::FamilyKind::kExplicit
-                    : e == "gpo-bdd" ? gpo::core::FamilyKind::kBdd
-                                     : gpo::core::FamilyKind::kInterned;
-        auto r = gpo::core::run_gpo(*analysis_net, kind, opt);
-        row = {e, static_cast<double>(r.state_count), 0, r.deadlock_found,
-               r.limit_hit, r.interrupted_phase, r.seconds};
-        if (r.deadlock_found) accept_counterexample(e, r.counterexample);
-      } else {
-        std::cerr << "unknown engine '" << e << "'\n";
-        exit(2);
-      }
+      out = gpo::engine::run(e, *analysis_net, req);
     } catch (const std::exception& ex) {
       std::cout << "  " << e << ": failed: " << ex.what() << "\n";
-      any_failed = true;
-      gpo::obs::RunReport::EngineRun er;
-      er.engine = e;
-      er.model = model_spec.empty() ? net_file : model_spec;
       er.verdict = "failed";
       er.aborted = true;
       report.add_engine(std::move(er));
       return;
     }
-    if (e != "unfold") {
-      any_deadlock |= row.deadlock && !row.aborted;
-      print_row(row);
-    }
+    if (out.deadlock) accept_counterexample(out);
+    if (out.unsafe_net) gpo::obs::diag_line("  WARNING: net is not 1-safe");
+    any_verdict |= out.conclusive;
+    any_deadlock |= out.conclusive && out.deadlock;
+    print_outcome(out);
     // A limit abort is the "soft crash" case: leave the same forensic
     // breadcrumbs (phase, metrics) the fatal-signal handler would.
-    if (row.aborted && telemetry) {
+    if (out.aborted && telemetry) {
       std::string reason = "limit hit";
-      if (!row.aborted_phase.empty()) reason += " in " + row.aborted_phase;
+      if (!out.aborted_phase.empty()) reason += " in " + out.aborted_phase;
       gpo::obs::Postmortem::dump(reason);
     }
     if (want_stats) print_engine_stats(registry, e, prefix);
-    gpo::obs::RunReport::EngineRun er;
-    er.engine = e;
-    er.model = model_spec.empty() ? net_file : model_spec;
-    er.verdict = e == "unfold"  ? "unfolded"
-                 : row.aborted  ? "aborted"
-                 : row.deadlock ? "deadlock"
-                                : "no-deadlock";
-    er.states = e == "unfold" ? -1 : row.states;
-    er.seconds = row.seconds;
-    er.aborted = row.aborted;
-    er.aborted_phase = row.aborted_phase;
+    er.verdict = out.verdict;
+    er.states = out.states;
+    er.seconds = out.seconds;
+    er.aborted = out.aborted;
+    er.aborted_phase = out.aborted_phase;
     er.counters = gpo::obs::registry_to_json(registry, prefix);
     report.add_engine(std::move(er));
   };
 
   if (engine == "all") {
-    for (const char* e :
-         {"full", "por", "bdd", "gpo", "gpo-intern", "gpo-bdd", "unfold"})
-      run_one(e);
+    for (const std::string& e : gpo::engine::names()) run_one(e);
   } else {
     run_one(engine);
   }
-  if (certificate_violation) return finish(1);
-  // A single engine that failed has no verdict, so it must not exit like
-  // "no deadlock"; under --engine all the other engines' verdicts stand.
-  if (any_failed && engine != "all") return finish(1);
+  if (certificate_violation || !any_verdict) return finish(1);
   return finish(any_deadlock ? 10 : 0);
 }

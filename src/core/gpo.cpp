@@ -50,59 +50,8 @@ void publish_gpo_stats(obs::MetricsRegistry& reg, std::string_view prefix,
   }
 }
 
-namespace {
-
-/// Rewrites an engine result produced on a reduced net back into terms of
-/// the original: the counterexample is expanded through the certificate and
-/// replayed on `original` (the acceptance oracle; the replayed end marking
-/// becomes the witness). A witness marking without a counterexample (a
-/// delegated classical search found the deadlock) cannot be expressed in
-/// original-net places and is dropped — the verdict stands on the
-/// certificate's verdict-preservation argument alone.
-void map_reduced_result(const petri::PetriNet& original,
-                        const reduce::ReductionCertificate& cert,
-                        GpoResult& result) {
-  util::Bitset fireable(original.transition_count());
-  for (std::size_t t = result.fireable_transitions.find_first();
-       t < result.fireable_transitions.size();
-       t = result.fireable_transitions.find_next(t + 1))
-    for (petri::TransitionId o :
-         cert.map_to_original({static_cast<petri::TransitionId>(t)}))
-      fireable.set(o);
-  result.fireable_transitions = std::move(fireable);
-  if (!result.deadlock_found) return;
-  if (result.counterexample.empty()) {
-    result.deadlock_witness.reset();
-    return;
-  }
-  result.counterexample = cert.map_to_original(result.counterexample);
-  std::optional<petri::Marking> end =
-      reduce::replay_trace(original, result.counterexample);
-  result.witness_is_dead = end.has_value() && original.is_deadlocked(*end);
-  if (result.witness_is_dead)
-    result.deadlock_witness = std::move(*end);
-  else
-    result.deadlock_witness.reset();
-}
-
-}  // namespace
-
 GpoResult run_gpo(const petri::PetriNet& net, FamilyKind kind,
                   const GpoOptions& options) {
-  if (options.reduce_level != reduce::ReduceLevel::kOff &&
-      !options.required_witness_place.has_value()) {
-    reduce::ReduceOptions ro;
-    ro.level = options.reduce_level;
-    ro.metrics = options.metrics;
-    ro.metrics_prefix = options.metrics_prefix + "reduce.";
-    ro.tracer = options.tracer;
-    reduce::ReductionResult red = reduce::reduce_net(net, ro);
-    GpoOptions inner = options;
-    inner.reduce_level = reduce::ReduceLevel::kOff;
-    GpoResult result = run_gpo(red.net, kind, inner);
-    map_reduced_result(net, red.certificate, result);
-    return result;
-  }
   // The ZDD store replaces the family storage of the explicit/interned
   // kinds (kBdd is its own representation and keeps it).
   if (options.family_store == FamilyStore::kZdd && kind != FamilyKind::kBdd) {

@@ -1,11 +1,8 @@
 // Convenience front-end: runs generalized partial-order analysis with a
 // runtime-selected set-family representation. This is the entry point the
-// CLI, the examples and the benchmark harness use; library code that wants
-// the full API instantiates GpnAnalyzer directly.
+// engine table (src/engine/), the examples and the benchmark harnesses use;
+// library code that wants the full API instantiates GpnAnalyzer directly.
 #pragma once
-
-#include <optional>
-#include <string_view>
 
 #include "core/family_interner.hpp"
 #include "core/gpn_analyzer.hpp"
@@ -47,25 +44,6 @@ using InternedGpnState = GpnState<InternedFamily>;
       return "interned";
   }
   return "unknown";
-}
-
-[[nodiscard]] inline const char* family_store_name(FamilyStore s) {
-  switch (s) {
-    case FamilyStore::kExplicit:
-      return "explicit";
-    case FamilyStore::kZdd:
-      return "zdd";
-  }
-  return "unknown";
-}
-
-/// Parses the --family-store / family-store= spellings; nullopt on anything
-/// else (callers own the error message).
-[[nodiscard]] inline std::optional<FamilyStore> parse_family_store(
-    std::string_view name) {
-  if (name == "explicit") return FamilyStore::kExplicit;
-  if (name == "zdd") return FamilyStore::kZdd;
-  return std::nullopt;
 }
 
 }  // namespace gpo::core

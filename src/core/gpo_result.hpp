@@ -6,13 +6,13 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "petri/dot.hpp"
 #include "petri/net.hpp"
-#include "reduce/reduce.hpp"
 #include "util/bitset.hpp"
 #include "util/cancel_token.hpp"
 
@@ -23,6 +23,15 @@ enum class FamilyStore {
   kExplicit,  // sorted bitset vectors (hash-consed when FamilyKind::kInterned)
   kZdd,       // one canonical zero-suppressed DD per family, shared nodes
 };
+
+/// Parses the --family-store / family-store= spellings; nullopt on anything
+/// else (callers own the error message).
+[[nodiscard]] inline std::optional<FamilyStore> parse_family_store(
+    std::string_view name) {
+  if (name == "explicit") return FamilyStore::kExplicit;
+  if (name == "zdd") return FamilyStore::kZdd;
+  return std::nullopt;
+}
 
 struct GpoOptions {
   std::size_t max_states = std::numeric_limits<std::size_t>::max();
@@ -74,15 +83,6 @@ struct GpoOptions {
   /// on scenario-heavy nets, interning is pointer equality and the op cache
   /// a node-level computed table.
   FamilyStore family_store = FamilyStore::kExplicit;
-  /// Structural net reduction applied by run_gpo() before the search: the
-  /// engine runs on the reduced net, the counterexample is mapped back
-  /// through the ReductionCertificate and re-validated by replay on the
-  /// input net (state/edge counts stay those of the reduced search — that
-  /// is the point). Ignored when required_witness_place is set: the
-  /// safety-to-deadlock reduction's violation place must not be rewritten.
-  /// Callers that reduce once for several engines (the CLI, the portfolio
-  /// scheduler) keep this kOff and map counterexamples themselves.
-  reduce::ReduceLevel reduce_level = reduce::ReduceLevel::kOff;
 };
 
 /// Counters of the canonical family store (FamilyKind::kInterned, or any

@@ -19,41 +19,6 @@ std::string marking_to_string(const petri::PetriNet& net, const Marking& m) {
 }
 
 ExplorerResult ExplicitExplorer::explore() const {
-  // bad_state predicates see input-net markings, so reduction is skipped
-  // for them (see ExplorerOptions::reduce_level).
-  if (options_.reduce_level != reduce::ReduceLevel::kOff &&
-      !options_.bad_state) {
-    reduce::ReduceOptions ro;
-    ro.level = options_.reduce_level;
-    ro.metrics = options_.metrics;
-    ro.metrics_prefix = options_.metrics_prefix + "reduce.";
-    reduce::ReductionResult red = reduce::reduce_net(net_, ro);
-    ExplorerOptions inner = options_;
-    inner.reduce_level = reduce::ReduceLevel::kOff;
-    ExplorerResult result =
-        ExplicitExplorer(red.net, std::move(inner)).explore();
-    util::Bitset fireable(net_.transition_count());
-    for (std::size_t t = result.fireable_transitions.find_first();
-         t < result.fireable_transitions.size();
-         t = result.fireable_transitions.find_next(t + 1))
-      for (TransitionId o : red.certificate.map_to_original(
-               {static_cast<TransitionId>(t)}))
-        fireable.set(o);
-    result.fireable_transitions = std::move(fireable);
-    if (result.deadlock_found && !result.counterexample.empty()) {
-      result.counterexample =
-          red.certificate.map_to_original(result.counterexample);
-      std::optional<Marking> end =
-          reduce::replay_trace(net_, result.counterexample);
-      if (end.has_value() && net_.is_deadlocked(*end))
-        result.first_deadlock = std::move(*end);
-      else
-        result.first_deadlock.reset();  // replay failed: certificate bug
-    } else if (result.deadlock_found) {
-      result.first_deadlock.reset();  // reduced-net marking, not mappable
-    }
-    return result;
-  }
   // build_graph needs globally ordered node ids, so it stays sequential.
   if (options_.num_threads > 1 && !options_.build_graph)
     return explore_parallel();

@@ -15,7 +15,6 @@
 #include "obs/metrics.hpp"
 #include "petri/dot.hpp"
 #include "petri/net.hpp"
-#include "reduce/reduce.hpp"
 #include "util/bitset.hpp"
 #include "util/cancel_token.hpp"
 
@@ -63,14 +62,6 @@ struct ExplorerOptions : SearchOptions {
   /// BFS; N > 1 runs the sharded parallel engine, which reports identical
   /// counts but a nondeterministic (always replayable) counterexample.
   std::size_t num_threads = 1;
-  /// Structural net reduction applied by explore() before the search: the
-  /// exploration runs on the reduced net and the deadlock counterexample /
-  /// witness are mapped back to the input net through the certificate
-  /// (replay is the oracle). Honored only when `bad_state` is unset — that
-  /// predicate sees input-net markings and must not be rewritten. Counts
-  /// (states, edges, deadlock_count) are those of the reduced search.
-  /// Callers that reduce once for several engines keep this kOff.
-  reduce::ReduceLevel reduce_level = reduce::ReduceLevel::kOff;
 };
 
 /// Observability counters for one exploration, printed by `julie --stats`.

@@ -313,6 +313,17 @@ std::optional<petri::Marking> replay_trace(
   return m;
 }
 
+MappedCounterexample map_counterexample(
+    const petri::PetriNet& original, const ReductionCertificate& certificate,
+    const std::vector<petri::TransitionId>& reduced_trace) {
+  MappedCounterexample out;
+  out.trace = certificate.map_to_original(reduced_trace);
+  std::optional<petri::Marking> end = replay_trace(original, out.trace);
+  if (end.has_value() && original.is_deadlocked(*end))
+    out.deadlock = std::move(end);
+  return out;
+}
+
 obs::RunReport::ReductionRun to_report_run(const ReductionStats& stats) {
   obs::RunReport::ReductionRun run;
   run.level = reduce_level_name(stats.level);

@@ -105,6 +105,24 @@ class ReductionCertificate {
     const petri::PetriNet& net,
     const std::vector<petri::TransitionId>& trace);
 
+/// A reduced-net deadlock counterexample carried back to the original net.
+struct MappedCounterexample {
+  /// The trace expanded through the certificate: a firing sequence of the
+  /// original net.
+  std::vector<petri::TransitionId> trace;
+  /// The marking `trace` replays to on the original net; set only when that
+  /// marking is dead. Unset means the certificate failed its acceptance
+  /// check — a reduction bug, never a property of the net.
+  std::optional<petri::Marking> deadlock;
+};
+
+/// Maps `reduced_trace` through `certificate` and replays it on `original`.
+/// The one map-and-replay step every caller that reduces a net before
+/// running engines applies to the winning counterexample.
+[[nodiscard]] MappedCounterexample map_counterexample(
+    const petri::PetriNet& original, const ReductionCertificate& certificate,
+    const std::vector<petri::TransitionId>& reduced_trace);
+
 struct PassCount {
   std::string pass;
   std::size_t applications = 0;

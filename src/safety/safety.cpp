@@ -1,11 +1,10 @@
 #include "safety/safety.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
-#include "bdd/symbolic_reach.hpp"
-#include "core/gpo.hpp"
+#include "engine/engine.hpp"
 #include "petri/builder.hpp"
-#include "por/stubborn.hpp"
 #include "reach/explorer.hpp"
 
 namespace gpo::safety {
@@ -66,114 +65,68 @@ Marking strip_bookkeeping(const Marking& reduced_marking,
 
 }  // namespace
 
+bool supports_engine(std::string_view name) {
+  return name == "full" || engine::filters_deadlocks(name);
+}
+
 SafetyResult check_safety(const PetriNet& net, const SafetyProperty& prop,
                           const SafetyOptions& options) {
+  if (!supports_engine(options.engine))
+    throw std::invalid_argument("engine '" + options.engine +
+                                "' cannot check safety properties");
   std::optional<ReducedNet> reduced;
   {
     obs::Span span(options.tracer, "safety-reduction");
     reduced.emplace(reduce_safety_to_deadlock(net, prop));
   }
   SafetyResult result;
-  const PlaceId violation = reduced->violation_place;
 
-  switch (options.engine) {
-    case Engine::kExplicit: {
-      // The explicit engine can check the predicate directly on the original
-      // net — no reduction overhead, and it doubles as the ground truth the
-      // reduction is validated against.
-      obs::Span span(options.tracer, "exploration");
-      reach::ExplorerOptions opt;
-      opt.max_states = options.max_states;
-      opt.max_seconds = options.max_seconds;
-      opt.cancel = options.cancel;
-      opt.stop_at_first_deadlock = true;  // stop at first hit
-      opt.metrics = options.metrics;
-      opt.metrics_prefix = "safety.";
-      opt.bad_state = [&](const Marking& m) {
-        return std::all_of(prop.never_all_marked.begin(),
-                           prop.never_all_marked.end(),
-                           [&](PlaceId p) { return m.test(p); });
-      };
-      auto r = reach::ExplicitExplorer(net, opt).explore();
-      result.violated = r.bad_state_found;
-      if (r.first_bad_state) result.witness = *r.first_bad_state;
-      result.limit_hit = r.limit_hit;
-      result.interrupted_phase = r.interrupted_phase;
-      result.seconds = r.seconds;
-      result.states_explored = r.state_count;
-      return result;
-    }
-    case Engine::kStubborn: {
-      obs::Span span(options.tracer, "reduced-search");
-      por::StubbornOptions opt;
-      opt.max_states = options.max_states;
-      opt.max_seconds = options.max_seconds;
-      opt.cancel = options.cancel;
-      opt.stop_at_first_deadlock = true;
-      opt.metrics = options.metrics;
-      opt.metrics_prefix = "safety.";
-      opt.deadlock_filter = [violation](const Marking& m) {
-        return m.test(violation);
-      };
-      auto r = por::StubbornExplorer(reduced->net, opt).explore();
-      result.violated = r.deadlock_found;
-      if (r.first_deadlock)
-        result.witness = strip_bookkeeping(*r.first_deadlock,
-                                           net.place_count());
-      result.limit_hit = r.limit_hit;
-      result.interrupted_phase = r.interrupted_phase;
-      result.seconds = r.seconds;
-      result.states_explored = r.state_count;
-      return result;
-    }
-    case Engine::kSymbolic: {
-      obs::Span span(options.tracer, "symbolic-fixpoint");
-      bdd::SymbolicOptions opt;
-      opt.max_seconds = options.max_seconds;
-      opt.cancel = options.cancel;
-      opt.required_deadlock_place = violation;
-      opt.metrics = options.metrics;
-      opt.metrics_prefix = "safety.";
-      auto r = bdd::SymbolicReachability(reduced->net, opt).analyze();
-      result.violated = r.deadlock_found;
-      if (r.deadlock_witness)
-        result.witness = strip_bookkeeping(*r.deadlock_witness,
-                                           net.place_count());
-      result.limit_hit = r.blowup;
-      if (r.blowup) result.interrupted_phase = "symbolic-fixpoint";
-      result.seconds = r.seconds;
-      result.states_explored = static_cast<std::size_t>(r.state_count);
-      return result;
-    }
-    case Engine::kGpo:
-    case Engine::kGpoBdd:
-    case Engine::kGpoInterned: {
-      core::GpoOptions opt;
-      opt.max_states = options.max_states;
-      opt.max_seconds = options.max_seconds;
-      opt.cancel = options.cancel;
-      opt.stop_at_first_deadlock = true;
-      opt.required_witness_place = violation;
-      opt.metrics = options.metrics;
-      opt.metrics_prefix = "safety.";
-      opt.tracer = options.tracer;
-      auto kind = options.engine == Engine::kGpo ? core::FamilyKind::kExplicit
-                  : options.engine == Engine::kGpoInterned
-                      ? core::FamilyKind::kInterned
-                      : core::FamilyKind::kBdd;
-      auto r = core::run_gpo(reduced->net, kind, opt);
-      result.violated = r.deadlock_found;
-      if (r.deadlock_witness)
-        result.witness = strip_bookkeeping(*r.deadlock_witness,
-                                           net.place_count());
-      result.limit_hit = r.limit_hit;
-      result.interrupted_phase = r.interrupted_phase;
-      result.seconds = r.seconds;
-      result.states_explored = r.state_count;
-      return result;
-    }
+  if (options.engine == "full") {
+    // The explicit engine can check the predicate directly on the original
+    // net — no reduction overhead, and it doubles as the ground truth the
+    // reduction is validated against.
+    obs::Span span(options.tracer, "exploration");
+    reach::ExplorerOptions opt;
+    opt.max_states = options.max_states;
+    opt.max_seconds = options.max_seconds;
+    opt.cancel = options.cancel;
+    opt.stop_at_first_deadlock = true;  // stop at first hit
+    opt.metrics = options.metrics;
+    opt.metrics_prefix = "safety.";
+    opt.bad_state = [&](const Marking& m) {
+      return std::all_of(prop.never_all_marked.begin(),
+                         prop.never_all_marked.end(),
+                         [&](PlaceId p) { return m.test(p); });
+    };
+    auto r = reach::ExplicitExplorer(net, opt).explore();
+    result.violated = r.bad_state_found;
+    if (r.first_bad_state) result.witness = *r.first_bad_state;
+    result.limit_hit = r.limit_hit;
+    result.interrupted_phase = r.interrupted_phase;
+    result.seconds = r.seconds;
+    result.states_explored = r.state_count;
+    return result;
   }
-  return result;  // unreachable
+
+  engine::EngineRequest req;
+  req.max_states = options.max_states;
+  req.max_seconds = options.max_seconds;
+  req.cancel = options.cancel;
+  req.stop_at_first_deadlock = true;
+  req.family_store = options.family_store;
+  req.metrics = options.metrics;
+  req.metrics_prefix = "safety.";
+  req.tracer = options.tracer;
+  req.required_deadlock_place = reduced->violation_place;
+  engine::EngineOutcome out = engine::run(options.engine, reduced->net, req);
+  result.violated = out.deadlock;
+  if (out.witness)
+    result.witness = strip_bookkeeping(*out.witness, net.place_count());
+  result.limit_hit = out.aborted;
+  result.interrupted_phase = out.aborted_phase;
+  result.seconds = out.seconds;
+  result.states_explored = static_cast<std::size_t>(out.states);
+  return result;
 }
 
 }  // namespace gpo::safety

@@ -14,7 +14,7 @@
 //
 // Original deadlocks of N survive in the reduced net too (with the run token
 // still present), so the engines are asked for deadlocks that mark the
-// violation place specifically — every engine exposes such a filter.
+// violation place specifically (EngineRequest::required_deadlock_place).
 //
 // Note on cost: the run place serializes the net for the *paper-literal*
 // conflict relation (every transition pair shares it). With the refined
@@ -26,8 +26,10 @@
 #include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "core/gpo_result.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "petri/net.hpp"
@@ -58,21 +60,21 @@ struct ReducedNet {
 [[nodiscard]] ReducedNet reduce_safety_to_deadlock(const petri::PetriNet& net,
                                                    const SafetyProperty& prop);
 
-enum class Engine {
-  kExplicit,
-  kStubborn,
-  kSymbolic,
-  kGpo,
-  kGpoBdd,
-  kGpoInterned,
-};
+/// The engines check_safety accepts: "full", which checks the predicate
+/// directly on the original net (the ground truth the reduction is tested
+/// against), and every engine of the table that filters deadlocks by the
+/// violation place (engine::filters_deadlocks).
+[[nodiscard]] bool supports_engine(std::string_view name);
 
 struct SafetyOptions {
-  Engine engine = Engine::kGpoBdd;
+  /// An engine name for which supports_engine() holds.
+  std::string engine = "gpo-bdd";
   std::size_t max_states = std::numeric_limits<std::size_t>::max();
   double max_seconds = std::numeric_limits<double>::infinity();
   /// Cooperative cancellation, forwarded to the inner engine.
   const util::CancelToken* cancel = nullptr;
+  /// Family storage backend of gpo and gpo-intern.
+  core::FamilyStore family_store = core::FamilyStore::kExplicit;
   /// Optional telemetry: the reduction and the inner engine run get
   /// "safety-reduction" / engine spans on `tracer`, and the inner engine
   /// publishes its counters to `metrics` under "safety.".
@@ -94,6 +96,7 @@ struct SafetyResult {
 };
 
 /// Checks the property with the selected engine via the reduction above.
+/// Throws std::invalid_argument for an engine supports_engine() rejects.
 [[nodiscard]] SafetyResult check_safety(const petri::PetriNet& net,
                                         const SafetyProperty& prop,
                                         const SafetyOptions& options = {});

@@ -1,11 +1,11 @@
 #include "service/manifest.hpp"
 
-#include <algorithm>
 #include <fstream>
 #include <istream>
 #include <sstream>
 #include <stdexcept>
 
+#include "engine/engine.hpp"
 #include "models/models.hpp"
 #include "reduce/reduce.hpp"
 #include "util/parse_number.hpp"
@@ -42,13 +42,6 @@ const std::vector<std::string>& default_portfolio() {
   return kDefault;
 }
 
-bool is_known_engine(const std::string& name) {
-  static const char* kKnown[] = {"full",    "por",        "bdd",    "gpo",
-                                 "gpo-intern", "gpo-bdd", "unfold"};
-  return std::any_of(std::begin(kKnown), std::end(kKnown),
-                     [&](const char* k) { return name == k; });
-}
-
 JobSpec parse_job_line(const std::string& line, std::size_t line_no) {
   std::istringstream in(line);
   JobSpec spec;
@@ -74,7 +67,7 @@ JobSpec parse_job_line(const std::string& line, std::size_t line_no) {
       spec.engines = split(value, ',');
       if (spec.engines.empty()) fail(line_no, "engines= names no engine");
       for (const std::string& e : spec.engines)
-        if (!is_known_engine(e))
+        if (!engine::is_engine(e))
           fail(line_no, "unknown engine '" + e + "'");
     } else if (key == "max-seconds") {
       auto secs = util::parse_number<double>(value);

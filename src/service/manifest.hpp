@@ -29,7 +29,7 @@
 //                   wins when both are given)
 //
 // '#' starts a comment (full line or trailing); blank lines are skipped.
-// Unknown keys, unknown engine names and malformed values are hard errors
+// Unknown keys, engine names outside engine::names() and malformed values are hard errors
 // with the offending line number — a manifest typo must not silently shrink
 // a CI verification matrix.
 #pragma once
@@ -51,10 +51,6 @@ inline constexpr double kDefaultJobSeconds = 60.0;
 /// unfolding) — deliberately diverse so structurally different nets each
 /// have a racer that suits them.
 [[nodiscard]] const std::vector<std::string>& default_portfolio();
-
-/// Engine names the portfolio layer accepts (the CLI's --engine values that
-/// produce a deadlock verdict, including "unfold" via its complete prefix).
-[[nodiscard]] bool is_known_engine(const std::string& name);
 
 struct JobSpec {
   std::string model;                 // built-in spec or net-file path

@@ -1,9 +1,10 @@
 // Engine portfolio: the pluggable racer set behind the verification service.
 //
-// Each engine is wrapped as an EngineRunner — a uniform "net in, deadlock
-// verdict out" closure that honours a shared budget, polls a CancelToken and
-// publishes its counters into the job's MetricsRegistry under
-// "engine.<name>.". The scheduler races several runners per job and cancels
+// Each engine of the engine table (src/engine/) is wrapped as an
+// EngineRunner — a uniform "net in, deadlock verdict out" closure that
+// honours the job's budget, polls its CancelToken and publishes its counters
+// into the job's MetricsRegistry under "engine.<name>.". The scheduler races
+// several runners per job and cancels
 // the rest the moment the first conclusive outcome lands (SMPT-style
 // portfolio with early cancellation; the registry keeps the engine set
 // pluggable the way LTSmin's frontend/backend split does).
@@ -12,59 +13,28 @@
 // racing engines and multiplexing jobs over one global pool.
 #pragma once
 
-#include <cstddef>
 #include <functional>
-#include <limits>
 #include <string>
 #include <vector>
 
-#include "obs/metrics.hpp"
+#include "engine/engine.hpp"
 #include "petri/net.hpp"
-#include "util/cancel_token.hpp"
 
 namespace gpo::service {
 
-/// Shared per-job budget every racer receives.
-struct RunLimits {
-  std::size_t max_states = std::numeric_limits<std::size_t>::max();
-  double max_seconds = std::numeric_limits<double>::infinity();
-  /// Family storage backend for the gpo racers: "" (default, explicit),
-  /// "explicit" or "zdd" (kept as the manifest's string so this header does
-  /// not depend on the core option enums; the gpo runners parse it).
-  std::string family_store;
-};
+/// Outcome of one racer: the engine table's outcome. `conclusive` is the
+/// race-deciding bit.
+using engine::EngineOutcome;
 
-/// Outcome of one racer. `conclusive` is the race-deciding bit: true iff the
-/// engine finished with a trustworthy deadlock/no-deadlock verdict (no limit
-/// hit, no cancellation, no blowup, no error).
-struct EngineOutcome {
-  std::string engine;
-  /// "deadlock" | "no-deadlock" | "aborted" | "cancelled" | "failed"
-  std::string verdict = "aborted";
-  bool conclusive = false;
-  bool deadlock = false;
-  double states = -1;  // -1: not applicable
-  double seconds = 0;
-  bool aborted = false;
-  /// The job's CancelToken stopped this run (subset of aborted).
-  bool cancelled = false;
-  /// Phase a limit or the cancel interrupted (engine-specific names).
-  std::string aborted_phase;
-  std::string error;  // "failed" verdicts: the exception text
-  /// Winner's firing sequence into the deadlock, when the engine produces
-  /// one (the GPO engines' replayed scenario, the explicit engines' trace).
-  std::vector<petri::TransitionId> counterexample;
-};
-
-/// One engine wrapped for racing. The registry pointer may be null (no
-/// telemetry); the token pointer may be null (standalone run).
+/// One engine wrapped for racing. The scheduler fills the request per job:
+/// budget, family store, the job's CancelToken and MetricsRegistry, and
+/// stop_at_first_deadlock.
 using EngineRunner = std::function<EngineOutcome(
-    const petri::PetriNet& net, const RunLimits& limits,
-    const util::CancelToken* cancel, obs::MetricsRegistry* metrics)>;
+    const petri::PetriNet& net, const engine::EngineRequest& request)>;
 
-/// Name -> runner map. Copyable so tests can extend the default set with
-/// synthetic racers (e.g. a deliberately slow engine for cancellation
-/// tests).
+/// Name -> runner map. The real engines live in the engine table; the map
+/// exists so tests can extend the default set with synthetic racers (e.g. a
+/// deliberately slow engine for cancellation tests).
 class EngineRegistry {
  public:
   /// Registers (or replaces) a runner.
@@ -77,9 +47,8 @@ class EngineRegistry {
   std::vector<std::pair<std::string, EngineRunner>> entries_;
 };
 
-/// The real engines: full, por, bdd, gpo, gpo-intern, gpo-bdd, and unfold
-/// (prefix construction + deadlock check through the complete prefix, so it
-/// races as a genuine verdict producer).
+/// Every engine of the engine table (engine::names()), each forwarding to
+/// engine::run.
 [[nodiscard]] const EngineRegistry& default_engine_registry();
 
 }  // namespace gpo::service

@@ -216,12 +216,16 @@ struct PortfolioScheduler::Impl {
         ev["engine"] = name;
         event("racer-start", job_id, std::move(ev));
       }
-      RunLimits limits;
-      limits.max_states = js.spec.max_states;
-      limits.max_seconds = js.spec.max_seconds;
-      limits.family_store = js.spec.family_store;
+      engine::EngineRequest request;
+      request.max_states = js.spec.max_states;
+      request.max_seconds = js.spec.max_seconds;
+      request.cancel = &js.token;
+      request.stop_at_first_deadlock = true;
+      request.family_store = core::parse_family_store(js.spec.family_store)
+                                 .value_or(core::FamilyStore::kExplicit);
+      request.metrics = js.metrics.get();
       try {
-        out = runner(*js.net, limits, &js.token, js.metrics.get());
+        out = runner(*js.net, request);
       } catch (const std::exception& e) {
         out = EngineOutcome{};
         out.verdict = "failed";
@@ -249,16 +253,13 @@ struct PortfolioScheduler::Impl {
         js.result.verdict = out.verdict;
         js.result.counterexample = out.counterexample;
         if (js.certificate.has_value() && !out.counterexample.empty()) {
-          // Map the reduced-net trace back and replay it on the original
-          // net — the certificate's acceptance oracle. A failure is a
-          // reduction bug, not a property of the net: keep the verdict
-          // (it transfers by the certificate argument) but flag the job.
-          js.result.counterexample =
-              js.certificate->map_to_original(out.counterexample);
-          std::optional<petri::Marking> final_marking =
-              reduce::replay_trace(*js.original, js.result.counterexample);
-          if (!final_marking.has_value() ||
-              !js.original->is_deadlocked(*final_marking))
+          // A replay failure is a reduction bug, not a property of the net:
+          // keep the verdict (it transfers by the certificate argument) but
+          // flag the job.
+          reduce::MappedCounterexample mapped = reduce::map_counterexample(
+              *js.original, *js.certificate, out.counterexample);
+          js.result.counterexample = std::move(mapped.trace);
+          if (!mapped.deadlock.has_value())
             append_error(js.result,
                          name + " counterexample does not replay to a "
                                 "deadlock on the original net (reduction "

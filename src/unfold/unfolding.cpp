@@ -288,11 +288,13 @@ namespace gpo::unfold {
 PrefixDeadlockResult deadlock_via_prefix(const PetriNet& net,
                                          const Prefix& prefix,
                                          std::size_t max_cuts,
+                                         double max_seconds,
                                          const util::CancelToken* cancel) {
   PrefixDeadlockResult result;
   PetriNet occurrence = prefix_as_net(net, prefix);
   reach::ExplorerOptions opt;
   opt.max_states = max_cuts;
+  opt.max_seconds = max_seconds;
   opt.cancel = cancel;
   // Note: no stop_at_first_deadlock — a deadlock of the *occurrence net*
   // (a cut-off frontier) is not a deadlock of the original net; only the

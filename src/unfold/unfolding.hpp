@@ -101,10 +101,12 @@ struct PrefixDeadlockResult {
 /// Deadlock detection through the complete prefix: the original net has a
 /// reachable deadlock iff some reachable cut of the prefix maps to a dead
 /// marking (completeness of the McMillan prefix). `prefix` must have been
-/// built without hitting its caps.
+/// built without hitting its caps. The cut search stops with limit_hit after
+/// `max_cuts` cuts or `max_seconds`, or when `cancel` fires.
 [[nodiscard]] PrefixDeadlockResult deadlock_via_prefix(
     const petri::PetriNet& net, const Prefix& prefix,
     std::size_t max_cuts = 10'000'000,
+    double max_seconds = std::numeric_limits<double>::infinity(),
     const util::CancelToken* cancel = nullptr);
 
 }  // namespace gpo::unfold

@@ -256,34 +256,43 @@ TEST(ReduceCertificate, OffLevelIsIdentity) {
   EXPECT_EQ(red.certificate.map_to_original(trace), trace);
 }
 
+// The reduce-once-then-map contract of every caller that reduces before
+// running engines (the CLI and the portfolio scheduler): the engine runs on
+// the reduced net, and map_counterexample carries its trace back.
 TEST(ReduceCertificate, ExplorerOptionMapsCounterexampleToOriginalNet) {
   PetriNet net = models::make_overtake(3);
-  reach::ExplorerOptions opt;
-  opt.reduce_level = ReduceLevel::kAggressive;
-  reach::ExplorerResult r = reach::ExplicitExplorer(net, opt).explore();
+  ReduceOptions aggressive;
+  aggressive.level = ReduceLevel::kAggressive;
+  ReductionResult red = reduce_net(net, aggressive);
+  reach::ExplorerResult r = reach::ExplicitExplorer(red.net).explore();
   reach::ExplorerResult base = reach::ExplicitExplorer(net).explore();
   ASSERT_EQ(r.deadlock_found, base.deadlock_found);
   ASSERT_TRUE(r.deadlock_found);
   // The mapped counterexample is a firing sequence of the ORIGINAL net and
-  // the explorer has already replayed it into first_deadlock.
-  std::optional<Marking> end = replay_trace(net, r.counterexample);
+  // the helper has already replayed it into its dead end marking.
+  MappedCounterexample mapped =
+      map_counterexample(net, red.certificate, r.counterexample);
+  std::optional<Marking> end = replay_trace(net, mapped.trace);
   ASSERT_TRUE(end.has_value());
   EXPECT_TRUE(net.is_deadlocked(*end));
-  ASSERT_TRUE(r.first_deadlock.has_value());
-  EXPECT_EQ(*r.first_deadlock, *end);
+  ASSERT_TRUE(mapped.deadlock.has_value());
+  EXPECT_EQ(*mapped.deadlock, *end);
 }
 
 TEST(ReduceCertificate, GpoOptionMapsCounterexampleToOriginalNet) {
   PetriNet net = models::make_overtake(3);
-  core::GpoOptions opt;
-  opt.reduce_level = ReduceLevel::kAggressive;
-  core::GpoResult r =
-      core::run_gpo(net, core::FamilyKind::kInterned, opt);
+  ReduceOptions aggressive;
+  aggressive.level = ReduceLevel::kAggressive;
+  ReductionResult red = reduce_net(net, aggressive);
+  core::GpoResult r = core::run_gpo(red.net, core::FamilyKind::kInterned);
   ASSERT_TRUE(r.deadlock_found);
   if (!r.counterexample.empty()) {
-    std::optional<Marking> end = replay_trace(net, r.counterexample);
+    MappedCounterexample mapped =
+        map_counterexample(net, red.certificate, r.counterexample);
+    std::optional<Marking> end = replay_trace(net, mapped.trace);
     ASSERT_TRUE(end.has_value());
     EXPECT_TRUE(net.is_deadlocked(*end));
+    EXPECT_TRUE(mapped.deadlock.has_value());
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "models/models.hpp"
 #include "petri/builder.hpp"
@@ -72,19 +73,35 @@ TEST(SafetyReduction, ReducedNetDeadlocksIffViolationOrOriginalDeadlock) {
   EXPECT_TRUE(plain_deadlock);
 }
 
-class SafetyEngines : public ::testing::TestWithParam<Engine> {};
+// The engines under test, as a plain enum: gtest prints an enum parameter
+// by its bytes, which keeps the parameterized test IDs stable.
+enum class SafetyEngine { kFull, kPor, kBdd, kGpo, kGpoBdd };
+
+const char* engine_name(SafetyEngine e) {
+  switch (e) {
+    case SafetyEngine::kFull: return "full";
+    case SafetyEngine::kPor: return "por";
+    case SafetyEngine::kBdd: return "bdd";
+    case SafetyEngine::kGpo: return "gpo";
+    case SafetyEngine::kGpoBdd: return "gpo-bdd";
+  }
+  return "";
+}
+
+class SafetyEngines : public ::testing::TestWithParam<SafetyEngine> {};
 
 INSTANTIATE_TEST_SUITE_P(All, SafetyEngines,
-                         ::testing::Values(Engine::kExplicit,
-                                           Engine::kStubborn,
-                                           Engine::kSymbolic, Engine::kGpo,
-                                           Engine::kGpoBdd),
+                         ::testing::Values(SafetyEngine::kFull,
+                                           SafetyEngine::kPor,
+                                           SafetyEngine::kBdd,
+                                           SafetyEngine::kGpo,
+                                           SafetyEngine::kGpoBdd),
                          [](const auto& info) {
                            switch (info.param) {
-                             case Engine::kExplicit: return "explicit";
-                             case Engine::kStubborn: return "stubborn";
-                             case Engine::kSymbolic: return "symbolic";
-                             case Engine::kGpo: return "gpo";
+                             case SafetyEngine::kFull: return "explicit";
+                             case SafetyEngine::kPor: return "stubborn";
+                             case SafetyEngine::kBdd: return "symbolic";
+                             case SafetyEngine::kGpo: return "gpo";
                              default: return "gpo_bdd";
                            }
                          });
@@ -96,7 +113,7 @@ TEST_P(SafetyEngines, ReachableViolationIsFound) {
   SafetyProperty prop{
       {net.find_place("hasL_0"), net.find_place("hasL_1")}};
   SafetyOptions opt;
-  opt.engine = GetParam();
+  opt.engine = engine_name(GetParam());
   auto r = check_safety(net, prop, opt);
   EXPECT_TRUE(r.violated);
   ASSERT_TRUE(r.witness.has_value());
@@ -111,7 +128,7 @@ TEST_P(SafetyEngines, UnreachableViolationIsRejected) {
   PetriNet net = models::make_arbiter_tree(4);
   SafetyProperty prop{{net.find_place("crit_4"), net.find_place("crit_5")}};
   SafetyOptions opt;
-  opt.engine = GetParam();
+  opt.engine = engine_name(GetParam());
   opt.max_seconds = 60;
   auto r = check_safety(net, prop, opt);
   EXPECT_FALSE(r.limit_hit);
@@ -124,7 +141,7 @@ TEST_P(SafetyEngines, WriterExclusionHolds) {
   SafetyProperty prop{
       {net.find_place("writing_0"), net.find_place("writing_1")}};
   SafetyOptions opt;
-  opt.engine = GetParam();
+  opt.engine = engine_name(GetParam());
   auto r = check_safety(net, prop, opt);
   EXPECT_FALSE(r.violated);
 }
@@ -134,7 +151,7 @@ TEST_P(SafetyEngines, WriterReaderConflictIsCaughtWhenPresent) {
   // reader 0 + reader 1 concurrently is possible.
   PetriNet net = models::make_readers_writers(4);
   SafetyOptions opt;
-  opt.engine = GetParam();
+  opt.engine = engine_name(GetParam());
   auto impossible = check_safety(
       net, SafetyProperty{{net.find_place("reading_0"),
                            net.find_place("writing_0")}},
@@ -170,15 +187,14 @@ TEST(SafetyProperty, RandomNetsAgreeWithGroundTruth) {
     auto ground = reach::ExplicitExplorer(net, eo).explore();
     if (ground.limit_hit) continue;
 
-    for (Engine e : {Engine::kStubborn, Engine::kSymbolic, Engine::kGpo,
-                     Engine::kGpoBdd}) {
+    for (const char* e : {"por", "bdd", "gpo", "gpo-bdd"}) {
       SafetyOptions opt;
       opt.engine = e;
       opt.max_seconds = 30;
       auto r = check_safety(net, prop, opt);
       ASSERT_FALSE(r.limit_hit) << "seed=" << seed;
       EXPECT_EQ(r.violated, ground.bad_state_found)
-          << "seed=" << seed << " engine=" << static_cast<int>(e);
+          << "seed=" << seed << " engine=" << e;
       if (r.violated) {
         ASSERT_TRUE(r.witness.has_value());
         for (PlaceId pl : prop.never_all_marked)
@@ -192,13 +208,40 @@ TEST(SafetyWitness, IsReachableInOriginalNet) {
   PetriNet net = models::make_nsdp(2);
   SafetyProperty prop{{net.find_place("hasL_0"), net.find_place("hasL_1")}};
   SafetyOptions opt;
-  opt.engine = Engine::kGpoBdd;
+  opt.engine = "gpo-bdd";
   auto r = check_safety(net, prop, opt);
   ASSERT_TRUE(r.violated);
   // The stripped witness must be a classically reachable marking.
   reach::ExplorerOptions eo;
   eo.bad_state = [&](const Marking& m) { return m == *r.witness; };
   EXPECT_TRUE(reach::ExplicitExplorer(net, eo).explore().bad_state_found);
+}
+
+TEST(SafetyOptions, EnginesWithoutADeadlockFilterAreRejected) {
+  PetriNet net = models::make_nsdp(2);
+  SafetyProperty prop{{net.find_place("hasL_0"), net.find_place("hasL_1")}};
+  EXPECT_FALSE(supports_engine("unfold"));
+  EXPECT_FALSE(supports_engine("bogus"));
+  for (const char* e : {"unfold", "all", "bogus"}) {
+    SafetyOptions opt;
+    opt.engine = e;
+    EXPECT_THROW((void)check_safety(net, prop, opt), std::invalid_argument)
+        << e;
+  }
+}
+
+TEST(SafetyOptions, FamilyStoreReachesTheGpoEngines) {
+  PetriNet net = models::make_nsdp(3);
+  SafetyProperty prop{{net.find_place("hasL_0"), net.find_place("hasL_1")}};
+  for (const char* e : {"gpo", "gpo-intern"}) {
+    obs::MetricsRegistry metrics;
+    SafetyOptions opt;
+    opt.engine = e;
+    opt.family_store = core::FamilyStore::kZdd;
+    opt.metrics = &metrics;
+    EXPECT_TRUE(check_safety(net, prop, opt).violated) << e;
+    EXPECT_FALSE(metrics.snapshot("safety.zdd.").empty()) << e;
+  }
 }
 
 }  // namespace

@@ -7,6 +7,8 @@
 #include <limits>
 #include <sstream>
 
+#include "engine/engine.hpp"
+
 namespace gpo::service {
 namespace {
 
@@ -64,8 +66,8 @@ TEST(Manifest, DefaultPortfolioIsKnownAndDiverse) {
   const auto& portfolio = default_portfolio();
   ASSERT_GE(portfolio.size(), 3u);
   for (const std::string& name : portfolio)
-    EXPECT_TRUE(is_known_engine(name)) << name;
-  EXPECT_FALSE(is_known_engine("smt"));
+    EXPECT_TRUE(engine::is_engine(name)) << name;
+  EXPECT_FALSE(engine::is_engine("smt"));
 }
 
 TEST(Manifest, MalformedLinesAreHardErrors) {

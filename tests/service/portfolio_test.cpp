@@ -24,19 +24,16 @@ TEST(Portfolio, RegistryHasTheSevenEngines) {
 
 TEST(Portfolio, AddReplacesExistingEntry) {
   EngineRegistry reg;
-  reg.add("e", [](const petri::PetriNet&, const RunLimits&,
-                  const util::CancelToken*, obs::MetricsRegistry*) {
+  reg.add("e", [](const petri::PetriNet&, const engine::EngineRequest&) {
     return EngineOutcome{};
   });
   EngineOutcome marked;
   marked.verdict = "deadlock";
-  reg.add("e", [marked](const petri::PetriNet&, const RunLimits&,
-                        const util::CancelToken*, obs::MetricsRegistry*) {
+  reg.add("e", [marked](const petri::PetriNet&, const engine::EngineRequest&) {
     return marked;
   });
   ASSERT_EQ(reg.names().size(), 1u);
-  EngineOutcome out = (*reg.find("e"))(models::make_fig7(), RunLimits{},
-                                       nullptr, nullptr);
+  EngineOutcome out = (*reg.find("e"))(models::make_fig7(), {});
   EXPECT_EQ(out.verdict, "deadlock");
 }
 
@@ -46,11 +43,11 @@ TEST(Portfolio, EveryEngineAgreesOnDeadlockAndDeadlockFreedom) {
   auto live = models::make_readers_writers(3);  // cyclic, deadlock-free
   for (const std::string& name : reg.names()) {
     const EngineRunner& runner = *reg.find(name);
-    EngineOutcome dead = runner(deadlocking, RunLimits{}, nullptr, nullptr);
+    EngineOutcome dead = runner(deadlocking, {});
     EXPECT_TRUE(dead.conclusive) << name;
     EXPECT_EQ(dead.verdict, "deadlock") << name;
     EXPECT_TRUE(dead.deadlock) << name;
-    EngineOutcome ok = runner(live, RunLimits{}, nullptr, nullptr);
+    EngineOutcome ok = runner(live, {});
     EXPECT_TRUE(ok.conclusive) << name;
     EXPECT_EQ(ok.verdict, "no-deadlock") << name;
     EXPECT_FALSE(ok.deadlock) << name;
@@ -62,8 +59,10 @@ TEST(Portfolio, EveryEngineHonoursAFiredCancelToken) {
   auto net = models::make_nsdp(4);
   util::CancelToken token;
   token.cancel();  // fired before the run: first main-loop poll must stop it
+  engine::EngineRequest req;
+  req.cancel = &token;
   for (const std::string& name : reg.names()) {
-    EngineOutcome out = (*reg.find(name))(net, RunLimits{}, &token, nullptr);
+    EngineOutcome out = (*reg.find(name))(net, req);
     EXPECT_FALSE(out.conclusive) << name;
     EXPECT_TRUE(out.aborted) << name;
     EXPECT_TRUE(out.cancelled) << name;
@@ -75,12 +74,14 @@ TEST(Portfolio, CancelledRunsReportTheInterruptedPhase) {
   auto net = models::make_nsdp(4);
   util::CancelToken token;
   token.cancel();
+  engine::EngineRequest req;
+  req.cancel = &token;
   const EngineRegistry& reg = default_engine_registry();
-  EngineOutcome por = (*reg.find("por"))(net, RunLimits{}, &token, nullptr);
+  EngineOutcome por = (*reg.find("por"))(net, req);
   EXPECT_EQ(por.aborted_phase, "reduced-search");
-  EngineOutcome bdd = (*reg.find("bdd"))(net, RunLimits{}, &token, nullptr);
+  EngineOutcome bdd = (*reg.find("bdd"))(net, req);
   EXPECT_EQ(bdd.aborted_phase, "symbolic-fixpoint");
-  EngineOutcome unf = (*reg.find("unfold"))(net, RunLimits{}, &token, nullptr);
+  EngineOutcome unf = (*reg.find("unfold"))(net, req);
   EXPECT_EQ(unf.aborted_phase, "prefix-construction");
 }
 
@@ -88,24 +89,26 @@ TEST(Portfolio, RunnersPublishIntoTheJobRegistryUnderEnginePrefix) {
   auto net = models::make_fig7();
   obs::MetricsRegistry metrics;
   const EngineRegistry& reg = default_engine_registry();
-  (void)(*reg.find("por"))(net, RunLimits{}, nullptr, &metrics);
+  engine::EngineRequest req;
+  req.metrics = &metrics;
+  (void)(*reg.find("por"))(net, req);
   EXPECT_FALSE(metrics.snapshot("engine.por.").empty());
 }
 
 TEST(Portfolio, WinnerCounterexampleReachesTheOutcome) {
   auto net = models::make_fig7();
   const EngineRegistry& reg = default_engine_registry();
-  EngineOutcome out = (*reg.find("full"))(net, RunLimits{}, nullptr, nullptr);
+  EngineOutcome out = (*reg.find("full"))(net, {});
   ASSERT_EQ(out.verdict, "deadlock");
   EXPECT_FALSE(out.counterexample.empty());
 }
 
 TEST(Portfolio, StateBudgetAbortsWithoutCancelFlag) {
   auto net = models::make_nsdp(4);  // 81 states > the 2-state cap
-  RunLimits limits;
+  engine::EngineRequest limits;
   limits.max_states = 2;
   const EngineRegistry& reg = default_engine_registry();
-  EngineOutcome out = (*reg.find("full"))(net, limits, nullptr, nullptr);
+  EngineOutcome out = (*reg.find("full"))(net, limits);
   EXPECT_FALSE(out.conclusive);
   EXPECT_TRUE(out.aborted);
   EXPECT_FALSE(out.cancelled);  // its own limit, not the job token

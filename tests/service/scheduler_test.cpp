@@ -31,8 +31,7 @@ using namespace std::chrono_literals;
 /// genuinely mid-run when the race is decided.
 EngineRunner fast_engine(std::vector<petri::TransitionId> cex = {},
                          std::atomic<bool>* gate = nullptr) {
-  return [cex, gate](const petri::PetriNet&, const RunLimits&,
-                     const util::CancelToken*, obs::MetricsRegistry*) {
+  return [cex, gate](const petri::PetriNet&, const engine::EngineRequest&) {
     auto deadline = std::chrono::steady_clock::now() + 10s;
     while (gate != nullptr && !gate->load() &&
            std::chrono::steady_clock::now() < deadline)
@@ -50,17 +49,15 @@ EngineRunner fast_engine(std::vector<petri::TransitionId> cex = {},
 /// Sets `started` on loop entry so a gated fast engine can wait for it.
 EngineRunner slow_engine(std::atomic<bool>* saw_cancel = nullptr,
                          std::atomic<bool>* started = nullptr) {
-  return [saw_cancel, started](const petri::PetriNet&, const RunLimits&,
-                               const util::CancelToken* cancel,
-                               obs::MetricsRegistry*) {
+  return [saw_cancel, started](const petri::PetriNet&, const engine::EngineRequest& req) {
     if (started != nullptr) started->store(true);
     EngineOutcome out;
     auto deadline = std::chrono::steady_clock::now() + 10s;
-    while (!util::cancel_requested(cancel) &&
+    while (!util::cancel_requested(req.cancel) &&
            std::chrono::steady_clock::now() < deadline)
       std::this_thread::sleep_for(200us);
     out.aborted = true;
-    out.cancelled = util::cancel_requested(cancel);
+    out.cancelled = util::cancel_requested(req.cancel);
     out.verdict = out.cancelled ? "cancelled" : "aborted";
     if (saw_cancel != nullptr && out.cancelled) saw_cancel->store(true);
     return out;
@@ -130,8 +127,7 @@ TEST(Scheduler, SingleThreadPoolSkipsRacersAfterTheDecision) {
 
 TEST(Scheduler, AllRacersAbortingYieldsUndecided) {
   EngineRegistry reg;
-  reg.add("giveup", [](const petri::PetriNet&, const RunLimits&,
-                       const util::CancelToken*, obs::MetricsRegistry*) {
+  reg.add("giveup", [](const petri::PetriNet&, const engine::EngineRequest&) {
     EngineOutcome out;
     out.aborted = true;
     return out;  // verdict "aborted", not conclusive
@@ -151,8 +147,7 @@ TEST(Scheduler, AllRacersAbortingYieldsUndecided) {
 
 TEST(Scheduler, ThrowingEngineIsAFailedOutcomeNotACrash) {
   EngineRegistry reg;
-  reg.add("boom", [](const petri::PetriNet&, const RunLimits&,
-                     const util::CancelToken*, obs::MetricsRegistry*)
+  reg.add("boom", [](const petri::PetriNet&, const engine::EngineRequest&)
               -> EngineOutcome {
     throw std::runtime_error("kaboom");
   });
@@ -356,8 +351,7 @@ TEST(Scheduler, BatchVerdictsMatchSingleEngineRuns) {
     for (const std::string& name : default_portfolio()) {
       auto net = models::make_by_spec(r.model);
       ASSERT_TRUE(net.has_value()) << r.model;
-      EngineOutcome solo = (*reg.find(name))(*net, RunLimits{}, nullptr,
-                                             nullptr);
+      EngineOutcome solo = (*reg.find(name))(*net, {});
       EXPECT_TRUE(solo.conclusive) << name << " on " << r.model;
       EXPECT_EQ(solo.verdict, r.verdict) << name << " on " << r.model;
     }

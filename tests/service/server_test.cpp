@@ -256,8 +256,7 @@ TEST(Server, IntrospectionAnswersWhileAJobIsRacing) {
   EngineRegistry engines;
   // Registered under a real engine name: CHECK's manifest grammar only
   // accepts known engines, and ServerOptions::registry swaps the runner.
-  engines.add("gpo", [&](const petri::PetriNet&, const RunLimits&,
-                         const util::CancelToken*, obs::MetricsRegistry*) {
+  engines.add("gpo", [&](const petri::PetriNet&, const engine::EngineRequest&) {
     engine_started.store(true);
     auto deadline = std::chrono::steady_clock::now() + 10s;
     while (!release.load() && std::chrono::steady_clock::now() < deadline)

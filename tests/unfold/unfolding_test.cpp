@@ -183,6 +183,16 @@ TEST(Unfolding, DeadlockViaPrefixMatchesGroundTruth) {
   }
 }
 
+TEST(Unfolding, DeadlockViaPrefixHonoursItsTimeBudget) {
+  // A spent budget must stop the cut search instead of letting it run to
+  // the end (on ring:8 the end is minutes away).
+  PetriNet net = models::make_nsdp(6);
+  Prefix prefix = unfold(net);
+  ASSERT_FALSE(prefix.limit_hit);
+  auto via_prefix = deadlock_via_prefix(net, prefix, 10'000'000, 0.0);
+  EXPECT_TRUE(via_prefix.limit_hit);
+}
+
 TEST(Unfolding, DeadlockViaPrefixOnRandomNets) {
   for (std::uint64_t seed = 1400; seed < 1430; ++seed) {
     models::RandomNetParams p;
