@@ -36,7 +36,8 @@ enum class SeedStrategy {
 };
 
 /// Computes the stubborn closure of `seeds` at marking `m` and returns its
-/// enabled transitions, ascending. Exposed separately for unit tests.
+/// enabled transitions, ascending: the explorer's closure, run once without
+/// its early exit. Exposed separately for unit tests.
 [[nodiscard]] std::vector<petri::TransitionId> stubborn_enabled_set(
     const petri::PetriNet& net, const petri::ConflictInfo& conflicts,
     const petri::Marking& m, const std::vector<petri::TransitionId>& seeds);
@@ -55,7 +56,9 @@ struct StubbornOptions : reach::SearchOptions {
 /// Reduced-order explorer: the exhaustive engine's breadth-first search
 /// (reach/search.hpp), expanding per marking only the enabled transitions of
 /// one stubborn set. Reuses reach::ExplorerResult so results are directly
-/// comparable with the exhaustive engine.
+/// comparable with the exhaustive engine. Each search keeps its closure
+/// scratch in its own frame, so one explorer (or several over one net) may
+/// run searches on several threads at once.
 class StubbornExplorer {
  public:
   StubbornExplorer(const petri::PetriNet& net, StubbornOptions options = {});
@@ -70,12 +73,6 @@ class StubbornExplorer {
       const std::vector<petri::Marking>& roots) const;
 
  private:
-  /// The reduced successor-generating set at m: the enabled transitions of
-  /// the selected stubborn set, given m's `enabled` ones (ascending).
-  [[nodiscard]] std::vector<petri::TransitionId> ample_set(
-      const petri::Marking& m,
-      const std::vector<petri::TransitionId>& enabled) const;
-
   const petri::PetriNet& net_;
   petri::ConflictInfo conflicts_;
   StubbornOptions options_;

@@ -4,20 +4,33 @@
 // frontier, limits, deadlock/bad-state inspection, live progress, stats and
 // graph output live here once. The parallel explorer and CTL's adjacency
 // graph keep their own loops.
+//
+// Markings are stored as flat words in a util::MarkingTable, whose ids are
+// given in discovery order, so the FIFO frontier is the id range
+// [head, size). Each successor is fired into one reused buffer and stored
+// only when new.
 #pragma once
 
 #include <algorithm>
-#include <deque>
 #include <functional>
+#include <span>
+#include <stdexcept>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "reach/explorer.hpp"
+#include "util/marking_table.hpp"
 #include "util/stopwatch.hpp"
 
 namespace gpo::reach {
+
+/// Discovery breadcrumb of a stored marking: the state it was first reached
+/// from and the transition fired there. Roots carry kInvalidTransition.
+struct Breadcrumb {
+  std::size_t parent;
+  petri::TransitionId via;
+};
 
 /// Explores breadth-first from `roots`, in order, and returns the engine
 /// result. `select(m, enabled)` returns the transitions to fire at `m` out of
@@ -35,6 +48,7 @@ template <typename Select, typename IsDeadlock>
     const std::function<bool(const petri::Marking&)>& bad_state = {}) {
   using petri::Marking;
   using petri::TransitionId;
+  using Word = util::MarkingTable::Word;
 
   ExplorerResult result;
   result.fireable_transitions = util::Bitset(net.transition_count());
@@ -49,25 +63,27 @@ template <typename Select, typename IsDeadlock>
     live_frontier = &options.metrics->gauge("progress.frontier");
   }
 
-  // Index of each stored marking, plus (parent, transition) breadcrumbs for
-  // counterexample reconstruction. Roots carry kInvalidTransition.
-  std::unordered_map<Marking, std::size_t> index;
-  std::vector<Marking> states;
-  struct Breadcrumb {
-    std::size_t parent;
-    TransitionId via;
-  };
+  // The visited store plus one breadcrumb per id for counterexample
+  // reconstruction. The breadcrumbs are reserved in step with the table, so
+  // the accounting below depends on the state count only.
+  util::MarkingTable table(net.place_count());
   std::vector<Breadcrumb> breadcrumbs;
 
   auto intern = [&](const Marking& m, std::size_t parent,
                     TransitionId via) -> std::pair<std::size_t, bool> {
-    auto [it, inserted] = index.try_emplace(m, states.size());
-    if (inserted) {
-      states.push_back(m);
+    auto [id, fresh] = table.insert(m.words());
+    if (fresh) {
+      if (breadcrumbs.size() == breadcrumbs.capacity())
+        breadcrumbs.reserve(table.capacity());
       breadcrumbs.push_back({parent, via});
       if (live_states != nullptr) live_states->add();
     }
-    return {it->second, inserted};
+    return {id, fresh};
+  };
+
+  auto load = [&](std::size_t s, Marking& into) {
+    std::span<const Word> words = table[s];
+    std::copy(words.begin(), words.end(), into.words().begin());
   };
 
   auto reconstruct = [&](std::size_t s) {
@@ -80,9 +96,8 @@ template <typename Select, typename IsDeadlock>
     return seq;
   };
 
-  auto inspect = [&](std::size_t s) -> bool {
+  auto inspect = [&](std::size_t s, const Marking& m) -> bool {
     // Returns true when the search should stop.
-    const Marking& m = states[s];
     if (is_deadlock(m)) {
       ++result.deadlock_count;
       if (!result.deadlock_found) {
@@ -102,81 +117,91 @@ template <typename Select, typename IsDeadlock>
     return false;
   };
 
-  std::deque<std::size_t> frontier;
   bool stopped = false;
   for (const Marking& root : roots) {
+    if (root.size() != net.place_count())
+      throw std::invalid_argument("search root is not a marking of this net");
     auto [idx, fresh] = intern(root, 0, petri::kInvalidTransition);
-    if (fresh) {
-      frontier.push_back(idx);
-      stopped = inspect(idx);
-      if (stopped) break;
+    if (fresh && inspect(idx, root)) {
+      stopped = true;
+      break;
     }
   }
 
-  std::size_t peak_frontier = frontier.size();
-  std::vector<TransitionId> enabled;  // per-state scratch, capacity reused
+  // The frontier is the id range [head, table.size()): ids are given in
+  // discovery order, and breadth-first expands in discovery order.
+  std::size_t head = 0;
+  std::size_t peak_frontier = table.size();
+  Marking current(net.place_count());  // the marking being expanded
+  Marking next(net.place_count());     // successor buffer, reused per edge
+  std::vector<TransitionId> enabled;   // per-state scratch, capacity reused
   enabled.reserve(net.transition_count());
 
-  while (!frontier.empty() && !stopped) {
-    peak_frontier = std::max(peak_frontier, frontier.size());
+  while (head < table.size() && !stopped) {
+    const std::size_t frontier = table.size() - head;
+    peak_frontier = std::max(peak_frontier, frontier);
     if (live_frontier != nullptr)
-      live_frontier->set(static_cast<double>(frontier.size()));
-    if (states.size() > options.max_states ||
+      live_frontier->set(static_cast<double>(frontier));
+    if (table.size() > options.max_states ||
         timer.elapsed_seconds() > options.max_seconds ||
         util::cancel_requested(options.cancel)) {
       result.limit_hit = true;
       result.interrupted_phase = phase;
       break;
     }
-    std::size_t s = frontier.front();
-    frontier.pop_front();
-    const Marking m = states[s];  // copy: `states` may reallocate below
+    const std::size_t s = head++;
+    load(s, current);  // a copy: inserting may move the arena
 
-    net.enabled_transitions(m, enabled);
+    net.enabled_transitions(current, enabled);
     for (TransitionId t : enabled) result.fireable_transitions.set(t);
-    for (TransitionId t : select(m, enabled)) {
-      bool unsafe = false;
-      Marking next = net.fire(t, m, &unsafe);
-      if (unsafe && !result.safeness_violation) {
+    const std::span<const Word> cur = std::as_const(current).words();
+    const std::span<Word> out = next.words();
+    for (TransitionId t : select(std::as_const(current), enabled)) {
+      // The firing rule (m - pre) | post, word by word; a token already in
+      // an output place that is not consumed breaks 1-safeness.
+      const petri::Transition& tr = net.transition(t);
+      const std::span<const Word> pre = tr.pre_bits.words();
+      const std::span<const Word> post = tr.post_bits.words();
+      Word clash = 0;
+      for (std::size_t w = 0; w < out.size(); ++w) {
+        const Word kept = cur[w] & ~pre[w];
+        clash |= kept & post[w];
+        out[w] = kept | post[w];
+      }
+      if (clash != 0 && !result.safeness_violation) {
         result.safeness_violation = true;
-        result.unsafe_source = m;
+        result.unsafe_source = current;
       }
       ++result.edge_count;
       auto [idx, fresh] = intern(next, s, t);
       if (options.build_graph)
         result.graph.edges.push_back({s, idx, net.transition(t).name});
-      if (fresh) {
-        frontier.push_back(idx);
-        if (inspect(idx)) {
-          stopped = true;
-          break;
-        }
+      if (fresh && inspect(idx, next)) {
+        stopped = true;
+        break;
       }
     }
   }
 
-  result.state_count = states.size();
+  result.state_count = table.size();
   result.seconds = timer.elapsed_seconds();
   result.stats.threads = 1;
   result.stats.peak_frontier = peak_frontier;
   if (result.seconds > 0)
     result.stats.states_per_second = result.state_count / result.seconds;
   if (options.metrics != nullptr) {
-    // Marking payloads are uniform, so one sample prices the whole store.
-    std::size_t per_marking =
-        sizeof(Marking) +
-        (states.empty() ? 0 : states.front().memory_bytes());
-    std::size_t visited_bytes = states.size() * per_marking +
-                                index.bucket_count() * sizeof(void*) +
-                                breadcrumbs.size() * sizeof(Breadcrumb);
+    std::size_t visited_bytes =
+        table.memory_bytes() + breadcrumbs.capacity() * sizeof(Breadcrumb);
     publish_explorer_stats(*options.metrics, options.metrics_prefix, result,
                            visited_bytes);
   }
   if (options.build_graph) {
     result.graph.initial = 0;
-    result.graph.node_labels.reserve(states.size());
-    for (const Marking& m : states)
-      result.graph.node_labels.push_back(marking_to_string(net, m));
+    result.graph.node_labels.reserve(table.size());
+    for (std::size_t s = 0; s < table.size(); ++s) {
+      load(s, current);
+      result.graph.node_labels.push_back(marking_to_string(net, current));
+    }
   }
   return result;
 }

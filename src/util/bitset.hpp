@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <functional>
 #include <initializer_list>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -76,6 +77,12 @@ class Bitset {
   /// instead of re-deriving them in every test().
   [[nodiscard]] Word word(std::size_t wi) const { return words_[wi]; }
   [[nodiscard]] std::size_t word_count() const { return words_.size(); }
+
+  /// Read/write view of the storage words, for stores that keep markings as
+  /// flat words (util::MarkingTable) and fire transitions word by word.
+  /// Writers must keep the bits past size() zero.
+  [[nodiscard]] std::span<Word> words() { return words_; }
+  [[nodiscard]] std::span<const Word> words() const { return words_; }
 
   [[nodiscard]] bool none() const {
     for (Word w : words_)

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 
 #include "models/models.hpp"
@@ -185,6 +186,71 @@ TEST(StubbornExplorer, PublishesTheExhaustiveEnginesAccounting) {
   ASSERT_TRUE(reg.value("mem.full.visited_bytes").has_value());
   EXPECT_EQ(reg.value("mem.por.visited_bytes"),
             reg.value("mem.full.visited_bytes"));
+}
+
+// States, edges and deadlocks of `por` under each seed strategy, recorded
+// from the closure that recomputed every seed in full. The reused-scratch
+// closure stops a seed early once it ties the best set so far; these counts
+// pin that it still picks the same ample set at every marking, ties
+// included.
+struct PinnedRun {
+  const char* spec;
+  SeedStrategy strategy;
+  std::size_t states;
+  std::size_t edges;
+  std::size_t deadlocks;
+};
+
+constexpr PinnedRun kPinnedRuns[] = {
+    {"nsdp:8", SeedStrategy::kBestOverSeeds, 4095, 11264, 2},
+    {"nsdp:8", SeedStrategy::kFirstEnabled, 6561, 27270, 2},
+    {"nsdp:8", SeedStrategy::kWholeConflictSet, 6561, 34442, 2},
+    {"ring:6", SeedStrategy::kBestOverSeeds, 1476, 3954, 0},
+    {"ring:6", SeedStrategy::kFirstEnabled, 1575, 4441, 0},
+    {"ring:6", SeedStrategy::kWholeConflictSet, 1575, 4470, 0},
+    {"over:4", SeedStrategy::kBestOverSeeds, 55, 64, 5},
+    {"over:4", SeedStrategy::kFirstEnabled, 99, 154, 5},
+    {"over:4", SeedStrategy::kWholeConflictSet, 99, 154, 5},
+    {"asat:4", SeedStrategy::kBestOverSeeds, 77, 86, 0},
+    {"asat:4", SeedStrategy::kFirstEnabled, 93, 120, 0},
+    {"asat:4", SeedStrategy::kWholeConflictSet, 93, 120, 0},
+    {"rw:9", SeedStrategy::kBestOverSeeds, 19, 36, 0},
+    {"rw:9", SeedStrategy::kFirstEnabled, 27, 52, 0},
+    {"rw:9", SeedStrategy::kWholeConflictSet, 521, 2578, 0},
+    {"cyclic:8", SeedStrategy::kBestOverSeeds, 30, 30, 0},
+    {"cyclic:8", SeedStrategy::kFirstEnabled, 30, 30, 0},
+    {"cyclic:8", SeedStrategy::kWholeConflictSet, 30, 30, 0},
+};
+
+TEST(StubbornExplorer, AmpleSetsArePinned) {
+  for (const PinnedRun& run : kPinnedRuns) {
+    PetriNet net = *models::make_by_spec(run.spec);
+    StubbornOptions so;
+    so.strategy = run.strategy;
+    auto result = StubbornExplorer(net, so).explore();
+    const std::string what = std::string(run.spec) + " strategy=" +
+                             std::to_string(static_cast<int>(run.strategy));
+    EXPECT_EQ(result.state_count, run.states) << what;
+    EXPECT_EQ(result.edge_count, run.edges) << what;
+    EXPECT_EQ(result.deadlock_count, run.deadlocks) << what;
+  }
+}
+
+TEST(StubbornSet, AgreesWithTheExplorersAmpleSetOnEverySeed) {
+  // stubborn_enabled_set is the explorer's closure without the early exit:
+  // every seed's set must contain its seed and be made of enabled
+  // transitions only, ascending.
+  PetriNet net = models::make_slotted_ring(3);
+  ConflictInfo ci(net);
+  auto result = reach::ExplicitExplorer(net).explore();
+  ASSERT_FALSE(result.limit_hit);
+  Marking m = net.initial_marking();
+  for (TransitionId t : net.enabled_transitions(m)) {
+    auto s = stubborn_enabled_set(net, ci, m, {t});
+    EXPECT_TRUE(std::is_sorted(s.begin(), s.end()));
+    EXPECT_NE(std::find(s.begin(), s.end(), t), s.end());
+    for (TransitionId u : s) EXPECT_TRUE(net.enabled(u, m));
+  }
 }
 
 TEST(StubbornExplorer, StateLimit) {

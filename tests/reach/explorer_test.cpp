@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "models/models.hpp"
+#include "obs/metrics.hpp"
 #include "petri/builder.hpp"
+#include "reach/search.hpp"
+#include "util/marking_table.hpp"
 
 namespace gpo::reach {
 namespace {
@@ -125,6 +131,55 @@ TEST(Explorer, MarkingToString) {
   PetriNet net = models::make_fig7();
   EXPECT_EQ(marking_to_string(net, net.initial_marking()), "{p0,p3}");
   EXPECT_EQ(marking_to_string(net, Marking(net.place_count())), "{}");
+}
+
+// One token on a cycle of `places` places: `places` states, one word per 64
+// places, so the markings span as many words as the cycle needs.
+PetriNet token_ring(std::size_t places) {
+  NetBuilder bld;
+  std::vector<petri::PlaceId> ring;
+  for (std::size_t i = 0; i < places; ++i)
+    ring.push_back(bld.add_place("p" + std::to_string(i), i == 0));
+  for (std::size_t i = 0; i < places; ++i)
+    bld.connect(bld.add_transition("t" + std::to_string(i)), {ring[i]},
+                {ring[(i + 1) % places]});
+  return bld.build();
+}
+
+TEST(Explorer, VisitedBytesAreArenaSlotsAndBreadcrumbs) {
+  for (std::size_t places : {20u, 64u, 65u, 130u, 300u}) {
+    PetriNet net = token_ring(places);
+    obs::MetricsRegistry reg;
+    ExplorerOptions opt;
+    opt.metrics = &reg;
+    auto result = ExplicitExplorer(net, opt).explore();
+    ASSERT_EQ(result.state_count, places);
+
+    // The store's layout depends only on the width and the state count, so
+    // a table holding as many markings prices the search's store.
+    util::MarkingTable table(places);
+    for (std::size_t i = 0; i < places; ++i) {
+      Marking m(places);
+      m.set(i);
+      ASSERT_TRUE(table.insert(m.words()).second);
+    }
+    const double expected = static_cast<double>(
+        table.arena_bytes() + table.slot_bytes() +
+        table.capacity() * sizeof(Breadcrumb));
+    EXPECT_EQ(reg.value("mem.full.visited_bytes"), expected)
+        << "places=" << places;
+  }
+}
+
+TEST(Explorer, RootOfAnotherNetIsRejected) {
+  PetriNet net = models::make_fig7();
+  EXPECT_THROW((void)breadth_first_search(
+                   net, {Marking(net.place_count() + 1)}, ExplorerOptions(),
+                   "exploration",
+                   [](const Marking&, const std::vector<petri::TransitionId>&
+                                          enabled) { return enabled; },
+                   [](const Marking&) { return false; }),
+               std::invalid_argument);
 }
 
 // The paper's Fig. 1 example: the full graph of n concurrent transitions has
