@@ -61,6 +61,7 @@
 #include "models/models.hpp"
 #include "obs/report.hpp"
 #include "reduce/reduce.hpp"
+#include "util/parse_number.hpp"
 #include "util/stopwatch.hpp"
 
 namespace {
@@ -288,7 +289,7 @@ int main(int argc, char** argv) {
     if (!std::strcmp(argv[i], "--smoke")) smoke = true;
     if (!std::strcmp(argv[i], "--slow")) slow = true;
     if (!std::strcmp(argv[i], "--max-seconds") && i + 1 < argc)
-      budget = std::stod(argv[++i]);
+      budget = gpo::util::parse_flag_number<double>("--max-seconds", argv[++i]);
     if (!std::strcmp(argv[i], "--out") && i + 1 < argc) out_path = argv[++i];
     if (!std::strcmp(argv[i], "--report") && i + 1 < argc)
       report_path = argv[++i];

@@ -12,8 +12,8 @@
 //
 // Usage: bench_table1 [--quick] [--max-seconds S] [--csv FILE] [--threads N]
 //                     [--report FILE] [--reduce L]
-// --threads N runs the exhaustive "States" column on the parallel sharded
-// explorer with N workers (counts are identical to the sequential engine).
+// --threads N runs the exhaustive "States" column on N threads (the result
+// is identical to one thread's).
 // --report FILE additionally writes the schema-stable JSON run report
 // (bench/report_schema.json) shared with `julie --report`.
 // --reduce L (safe|aggressive) runs the structural net-reduction pipeline
@@ -34,6 +34,7 @@
 #include "models/models.hpp"
 #include "obs/report.hpp"
 #include "reduce/reduce.hpp"
+#include "util/parse_number.hpp"
 
 namespace {
 
@@ -118,12 +119,13 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--quick")) quick = true;
     if (!std::strcmp(argv[i], "--max-seconds") && i + 1 < argc)
-      budget = std::stod(argv[++i]);
+      budget = gpo::util::parse_flag_number<double>("--max-seconds", argv[++i]);
     if (!std::strcmp(argv[i], "--csv") && i + 1 < argc) csv_path = argv[++i];
     if (!std::strcmp(argv[i], "--report") && i + 1 < argc)
       report_path = argv[++i];
     if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
-      threads = std::stoul(argv[++i]);
+      threads =
+          gpo::util::parse_flag_number<std::size_t>("--threads", argv[++i]);
       if (threads == 0) threads = 1;
     }
     if (!std::strcmp(argv[i], "--reduce") && i + 1 < argc) {

@@ -12,17 +12,12 @@
 #include "models/models.hpp"
 #include "por/stubborn.hpp"
 #include "reach/explorer.hpp"
+#include "util/parse_number.hpp"
 
 int main(int argc, char** argv) {
   std::size_t max_n = 8;
-  if (argc > 1) {
-    try {
-      max_n = std::stoul(argv[1]);
-    } catch (const std::exception&) {
-      std::cerr << "usage: " << argv[0] << " [count]\n";
-      return 2;
-    }
-  }
+  if (argc > 1)
+    max_n = gpo::util::parse_flag_number<std::size_t>("count", argv[1]);
 
   std::cout << "Non-serialized dining philosophers: each philosopher may\n"
                "grab either fork first, so 'everyone holds one fork' is a\n"

@@ -11,17 +11,12 @@
 #include "petri/structure.hpp"
 #include "reach/explorer.hpp"
 #include "safety/safety.hpp"
+#include "util/parse_number.hpp"
 
 int main(int argc, char** argv) {
   std::size_t n = 4;
-  if (argc > 1) {
-    try {
-      n = std::stoul(argv[1]);
-    } catch (const std::exception&) {
-      std::cerr << "usage: " << argv[0] << " [count]\n";
-      return 2;
-    }
-  }
+  if (argc > 1)
+    n = gpo::util::parse_flag_number<std::size_t>("count", argv[1]);
   auto net = gpo::models::make_arbiter_tree(n);
   std::cout << "arbiter tree with " << n << " clients: " << net.place_count()
             << " places, " << net.transition_count() << " transitions\n\n";

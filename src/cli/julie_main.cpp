@@ -96,11 +96,11 @@ int usage(const char* argv0) {
       << "  --max-seconds S    wall-clock cap per engine\n"
       << "  --threads N        worker threads for the exhaustive engine\n"
       << "                     (full, also under --engine all and\n"
-      << "                     --liveness); verdicts and state counts do\n"
-      << "                     not depend on N (default 1 = sequential)\n"
+      << "                     --liveness); the result, counterexample\n"
+      << "                     included, does not depend on N (default 1)\n"
       << "  --stats            print per-engine telemetry counters on stderr\n"
-      << "                     (states/sec, peak frontier, steals, shard\n"
-      << "                     occupancy, interner dedup, op-cache hit rate)\n"
+      << "                     (states/sec, peak frontier, interner dedup,\n"
+      << "                     op-cache hit rate)\n"
       << "  --progress [SECS]  heartbeat on stderr every SECS seconds\n"
       << "                     (default 1): states/sec, frontier, peak RSS,\n"
       << "                     interner occupancy, current phase\n"

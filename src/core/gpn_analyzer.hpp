@@ -459,7 +459,7 @@ class GpnAnalyzer {
       }
 
     // Collect the classical markings of every starving state and hand them
-    // to one shared stubborn-set search.
+    // to one shared stubborn-set search, which skips a repeated root.
     std::vector<petri::Marking> roots;
     for (std::size_t v = 0; v < states.size(); ++v) {
       std::size_t c = comp[v];
@@ -467,10 +467,8 @@ class GpnAnalyzer {
       util::Bitset starving = enabled_at[v] - fired_in[c];
       if (starving.none()) continue;
       ++result.ignoring_expansions;
-      for (petri::Marking& m : mapping(states[v])) {
-        if (std::find(roots.begin(), roots.end(), m) == roots.end())
-          roots.push_back(std::move(m));
-      }
+      for (petri::Marking& m : mapping(states[v]))
+        roots.push_back(std::move(m));
     }
     if (!roots.empty())
       run_delegated(roots, remaining_seconds, "ignoring-guard",

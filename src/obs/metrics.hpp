@@ -3,7 +3,7 @@
 //
 // Design goals (ISSUE 3 tentpole):
 //   * plain atomic slots — a hot-path increment is one relaxed fetch_add,
-//     safe under the work-stealing parallel explorer and readable from the
+//     safe under concurrent engines and readable from the
 //     progress-heartbeat thread without locks;
 //   * zero cost when unused — engines take an optional MetricsRegistry* and
 //     cache raw slot pointers once, so the disabled path is a null check

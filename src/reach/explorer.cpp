@@ -19,15 +19,12 @@ std::string marking_to_string(const petri::PetriNet& net, const Marking& m) {
 }
 
 ExplorerResult ExplicitExplorer::explore() const {
-  // build_graph needs globally ordered node ids, so it stays sequential.
-  if (options_.num_threads > 1 && !options_.build_graph)
-    return explore_parallel();
   return breadth_first_search(
       net_, {net_.initial_marking()}, options_, "exploration",
       [](const Marking&, const std::vector<TransitionId>& enabled)
           -> const std::vector<TransitionId>& { return enabled; },
       [this](const Marking& m) { return net_.is_deadlocked(m); },
-      options_.bad_state);
+      options_.bad_state, options_.num_threads);
 }
 
 void publish_explorer_stats(obs::MetricsRegistry& reg, std::string_view prefix,
@@ -43,15 +40,6 @@ void publish_explorer_stats(obs::MetricsRegistry& reg, std::string_view prefix,
       .set(static_cast<double>(result.stats.peak_frontier));
   reg.timer(p + "seconds")
       .record_ns(static_cast<std::uint64_t>(result.seconds * 1e9));
-  if (result.stats.threads > 1) {
-    reg.counter(p + "steals").store(result.stats.steal_count);
-    reg.gauge(p + "shards").set(static_cast<double>(result.stats.shard_count));
-    reg.gauge(p + "min_shard_size")
-        .set(static_cast<double>(result.stats.min_shard_size));
-    reg.gauge(p + "max_shard_size")
-        .set(static_cast<double>(result.stats.max_shard_size));
-    reg.gauge(p + "avg_shard_size").set(result.stats.avg_shard_size);
-  }
   reg.gauge("mem." + p + "visited_bytes")
       .set(static_cast<double>(visited_bytes));
 }

@@ -37,8 +37,8 @@ struct SearchOptions {
   /// Stop the search at the first deadlock instead of exploring everything.
   bool stop_at_first_deadlock = false;
   /// Record the full reachability graph (states + labeled edges). Only
-  /// sensible for small nets; used by tests and DOT dumps. Forces the
-  /// exhaustive engine onto its sequential path regardless of num_threads.
+  /// sensible for small nets; used by tests and DOT dumps. The search then
+  /// runs on one thread regardless of num_threads.
   bool build_graph = false;
   /// Optional telemetry sink. When set, the engine bumps the live
   /// "progress.states" / "progress.frontier" slots during the search (unless
@@ -55,12 +55,9 @@ struct ExplorerOptions : SearchOptions {
 
   /// Optional safety property: exploration reports (and, with
   /// stop_at_first_deadlock, stops at) markings where this returns true.
-  /// With num_threads > 1 the predicate is invoked concurrently from worker
-  /// threads and must be thread-safe.
   std::function<bool(const petri::Marking&)> bad_state;
-  /// Worker threads. 1 (the default) keeps today's deterministic sequential
-  /// BFS; N > 1 runs the sharded parallel engine, which reports identical
-  /// counts but a nondeterministic (always replayable) counterexample.
+  /// Threads that expand each breadth-first level (reach/search.hpp). The
+  /// result, counterexample included, is the same for every count.
   std::size_t num_threads = 1;
 };
 
@@ -71,14 +68,9 @@ struct ExplorerStats {
   double states_per_second = 0;
   /// High-water mark of discovered-but-unexpanded states.
   std::size_t peak_frontier = 0;
-  /// Work items taken from another worker's deque (0 when sequential).
+  /// Always 0: no search steals work. Kept because gpobench/probe.cpp
+  /// still reads it.
   std::size_t steal_count = 0;
-  /// Stripes of the sharded marking set (0 when sequential).
-  std::size_t shard_count = 0;
-  /// Occupancy spread across shards after the run (0 when sequential).
-  std::size_t min_shard_size = 0;
-  std::size_t max_shard_size = 0;
-  double avg_shard_size = 0;
 };
 
 struct ExplorerResult {
@@ -121,8 +113,6 @@ struct ExplorerResult {
 
 /// Explores the reachable markings of a safe Petri net breadth-first.
 /// The instance is single-use per call but stateless between calls.
-/// With ExplorerOptions::num_threads > 1 (and build_graph off) the
-/// exploration runs on the sharded parallel engine instead.
 class ExplicitExplorer {
  public:
   explicit ExplicitExplorer(const petri::PetriNet& net,
@@ -132,8 +122,6 @@ class ExplicitExplorer {
   [[nodiscard]] ExplorerResult explore() const;
 
  private:
-  [[nodiscard]] ExplorerResult explore_parallel() const;
-
   const petri::PetriNet& net_;
   ExplorerOptions options_;
 };

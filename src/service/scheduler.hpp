@@ -6,7 +6,7 @@
 //
 //   submit(JobSpec) ──► JobState ──► one pool task per racer
 //                                        │
-//        global WorkStealingQueues<Task> ┴ W workers (pool_threads)
+//              one FIFO queue per worker ┴ W workers (pool_threads)
 //
 //   * Every racer of every job is one task on the shared pool — there is no
 //     per-job --threads. Individual GPN graphs are tiny (frontier <= 2 on

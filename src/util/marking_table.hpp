@@ -1,6 +1,6 @@
-// Visited store of the sequential explicit search (reach/search.hpp): flat,
-// fixed-width state vectors in an open-addressing table, as in the state
-// tables of the LTSmin lineage (SNIPPETS.md), but for one thread.
+// Visited store of the explicit breadth-first search (reach/search.hpp):
+// flat, fixed-width state vectors in an open-addressing table, as in the
+// state tables of the LTSmin lineage (SNIPPETS.md).
 //
 // Every marking takes W = ⌈|P|/64⌉ words, stored inline in one growable word
 // arena; marking `id` lives at words [id·W, (id+1)·W). An open-addressing
@@ -12,8 +12,9 @@
 // together: the arena is reserved for exactly the markings the slot table
 // holds before its next growth, so memory_bytes() is a function of size().
 //
-// The parallel explorer keeps util::ShardedMarkingSet; this table is not
-// thread-safe.
+// Not thread-safe for writers: the parallel search reads the table with
+// contains() from several threads only while no thread inserts, and each of
+// its workers keeps a private table of the successors it produced.
 #pragma once
 
 #include <algorithm>
@@ -55,32 +56,51 @@ class MarkingTable {
     return {arena_.data() + id * width_, width_};
   }
 
+  /// Whether the marking `m` (width() words), whose hash(m) is `h`, is
+  /// stored. Read-only, so any number of threads may call it while nobody
+  /// inserts.
+  [[nodiscard]] bool contains(std::span<const Word> m, std::uint64_t h) const {
+    return find(m, h).second != kNone;
+  }
+
   /// Interns the marking `m` (width() words). Returns its id and whether it
   /// was new; a new marking gets id size() and is copied into the arena.
   std::pair<std::size_t, bool> insert(std::span<const Word> m) {
-    const std::uint64_t h = hash(m);
-    const std::uint64_t tag = h & ~kIdMask;
-    std::size_t mask = slots_.size() - 1;
-    std::size_t i = h & mask;
-    for (std::uint64_t slot = slots_[i]; slot != 0;
-         i = (i + 1) & mask, slot = slots_[i]) {
-      if ((slot & ~kIdMask) != tag) continue;
-      const std::size_t id = (slot & kIdMask) - 1;
-      if (std::equal(m.begin(), m.end(), arena_.begin() + id * width_))
-        return {id, false};
-    }
+    return insert(m, hash(m));
+  }
+  /// insert() for a marking whose hash(m) is already known.
+  std::pair<std::size_t, bool> insert(std::span<const Word> m,
+                                      std::uint64_t h) {
+    auto [i, found] = find(m, h);
+    if (found != kNone) return {found, false};
     if (size_ == capacity()) {
       grow();
-      mask = slots_.size() - 1;
+      const std::size_t mask = slots_.size() - 1;
       i = h & mask;
       while (slots_[i] != 0) i = (i + 1) & mask;
     }
     if (size_ + 1 > kIdMask)
       throw std::length_error("MarkingTable: more than 2^40 markings");
     const std::size_t id = size_++;
-    slots_[i] = tag | (id + 1);
+    slots_[i] = (h & ~kIdMask) | (id + 1);
     arena_.insert(arena_.end(), m.begin(), m.end());
     return {id, true};
+  }
+
+  /// Forgets every marking but keeps the memory, so refilling the table to
+  /// its old size does not grow it again.
+  void clear() {
+    std::fill(slots_.begin(), slots_.end(), 0);
+    arena_.clear();
+    size_ = 0;
+  }
+
+  /// Word-wise multiply-xor chain finished by MurmurHash3's mixer: the low
+  /// bits pick the home slot, the top 24 bits become the slot's tag.
+  [[nodiscard]] static std::uint64_t hash(std::span<const Word> m) {
+    std::uint64_t h = 0x9e3779b97f4a7c15ull;
+    for (Word w : m) h = (h ^ w) * 0xff51afd7ed558ccdull;
+    return mix64(h);
   }
 
   /// Heap bytes of the word arena (its reserved capacity).
@@ -100,12 +120,23 @@ class MarkingTable {
   static constexpr std::uint64_t kIdMask = (std::uint64_t{1} << kIdBits) - 1;
   static constexpr std::size_t kInitialSlots = 16;
 
-  /// Word-wise multiply-xor chain finished by MurmurHash3's mixer: the low
-  /// bits pick the home slot, the top 24 bits become the slot's tag.
-  static std::uint64_t hash(std::span<const Word> m) {
-    std::uint64_t h = 0x9e3779b97f4a7c15ull;
-    for (Word w : m) h = (h ^ w) * 0xff51afd7ed558ccdull;
-    return mix64(h);
+  static constexpr std::size_t kNone = ~std::size_t{0};
+
+  /// Linear probe for `m` with hash `h`: its slot and id, or the empty slot
+  /// that ends the probe and kNone.
+  [[nodiscard]] std::pair<std::size_t, std::size_t> find(
+      std::span<const Word> m, std::uint64_t h) const {
+    const std::uint64_t tag = h & ~kIdMask;
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = h & mask;
+    for (std::uint64_t slot = slots_[i]; slot != 0;
+         i = (i + 1) & mask, slot = slots_[i]) {
+      if ((slot & ~kIdMask) != tag) continue;
+      const std::size_t id = (slot & kIdMask) - 1;
+      if (std::equal(m.begin(), m.end(), arena_.begin() + id * width_))
+        return {i, id};
+    }
+    return {i, kNone};
   }
 
   /// Doubles the slot table, re-hashes every stored marking from the arena

@@ -1,5 +1,5 @@
-// Concurrency: the registry is hammered from many threads the way the
-// work-stealing parallel explorer uses it — registration races on the same
+// Concurrency: the registry is hammered from many threads the way racing
+// engines in the portfolio service use it — registration races on the same
 // and different names, relaxed increments on shared slots, snapshot reads
 // while writers run. Run under TSan via the `parallel` ctest label.
 #include <gtest/gtest.h>

@@ -34,6 +34,8 @@ TEST_P(MarkingTableWidth, InsertOrderIdsAndDuplicates) {
   std::size_t slot_bytes = table.slot_bytes();
   for (std::uint64_t i = 0; i < kCount; ++i) {
     Bitset m = marking_of(places, i);
+    ASSERT_FALSE(table.contains(m.words(), MarkingTable::hash(m.words())))
+        << "i=" << i;
     auto [id, fresh] = table.insert(m.words());
     ASSERT_TRUE(fresh) << "i=" << i;
     ASSERT_EQ(id, i) << "ids follow insertion order";
@@ -45,9 +47,12 @@ TEST_P(MarkingTableWidth, InsertOrderIdsAndDuplicates) {
   EXPECT_GE(growths, 5u);
   EXPECT_EQ(table.size(), kCount);
 
-  // Every marking reads back, and a duplicate insert returns its first id.
+  // Every marking reads back and is found, and a duplicate insert returns
+  // its first id.
   for (std::uint64_t i = 0; i < kCount; ++i) {
     Bitset m = marking_of(places, i);
+    EXPECT_TRUE(table.contains(m.words(), MarkingTable::hash(m.words())))
+        << "i=" << i;
     auto stored = table[i];
     ASSERT_TRUE(std::equal(stored.begin(), stored.end(), m.words().begin()))
         << "i=" << i;
@@ -82,6 +87,7 @@ TEST(MarkingTable, MarkingsDifferingOnlyInTheLastWordAreDistinct) {
   Bitset a(129), b(129);
   b.set(128);
   EXPECT_EQ(table.insert(a.words()), (std::pair<std::size_t, bool>{0, true}));
+  EXPECT_FALSE(table.contains(b.words(), MarkingTable::hash(b.words())));
   EXPECT_EQ(table.insert(b.words()), (std::pair<std::size_t, bool>{1, true}));
   EXPECT_EQ(table.insert(a.words()), (std::pair<std::size_t, bool>{0, false}));
   EXPECT_EQ(table.insert(b.words()), (std::pair<std::size_t, bool>{1, false}));
