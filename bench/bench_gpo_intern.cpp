@@ -286,13 +286,24 @@ int main(int argc, char** argv) {
   std::string out_path = "BENCH_gpo.json";
   std::string report_path;
   for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--smoke")) smoke = true;
-    if (!std::strcmp(argv[i], "--slow")) slow = true;
-    if (!std::strcmp(argv[i], "--max-seconds") && i + 1 < argc)
-      budget = gpo::util::parse_flag_number<double>("--max-seconds", argv[++i]);
-    if (!std::strcmp(argv[i], "--out") && i + 1 < argc) out_path = argv[++i];
-    if (!std::strcmp(argv[i], "--report") && i + 1 < argc)
-      report_path = argv[++i];
+    using gpo::util::flag_value;
+    if (!std::strcmp(argv[i], "--smoke")) {
+      smoke = true;
+    } else if (!std::strcmp(argv[i], "--slow")) {
+      slow = true;
+    } else if (!std::strcmp(argv[i], "--max-seconds")) {
+      budget = gpo::util::parse_flag_number<double>(
+          "--max-seconds", flag_value(argc, argv, i));
+    } else if (!std::strcmp(argv[i], "--out")) {
+      out_path = flag_value(argc, argv, i);
+    } else if (!std::strcmp(argv[i], "--report")) {
+      report_path = flag_value(argc, argv, i);
+    } else {
+      gpo::util::unknown_flag(
+          argv[i],
+          "usage: bench_gpo_intern [--smoke] [--slow] [--max-seconds S] "
+          "[--out FILE] [--report FILE]");
+    }
   }
   if (smoke && budget > 5.0) budget = 5.0;
 

@@ -117,25 +117,33 @@ int main(int argc, char** argv) {
   std::string csv_path = "table1_results.csv";
   std::string report_path;
   for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--quick")) quick = true;
-    if (!std::strcmp(argv[i], "--max-seconds") && i + 1 < argc)
-      budget = gpo::util::parse_flag_number<double>("--max-seconds", argv[++i]);
-    if (!std::strcmp(argv[i], "--csv") && i + 1 < argc) csv_path = argv[++i];
-    if (!std::strcmp(argv[i], "--report") && i + 1 < argc)
-      report_path = argv[++i];
-    if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
-      threads =
-          gpo::util::parse_flag_number<std::size_t>("--threads", argv[++i]);
+    using gpo::util::flag_value;
+    if (!std::strcmp(argv[i], "--quick")) {
+      quick = true;
+    } else if (!std::strcmp(argv[i], "--max-seconds")) {
+      budget = gpo::util::parse_flag_number<double>(
+          "--max-seconds", flag_value(argc, argv, i));
+    } else if (!std::strcmp(argv[i], "--csv")) {
+      csv_path = flag_value(argc, argv, i);
+    } else if (!std::strcmp(argv[i], "--report")) {
+      report_path = flag_value(argc, argv, i);
+    } else if (!std::strcmp(argv[i], "--threads")) {
+      threads = gpo::util::parse_flag_number<std::size_t>(
+          "--threads", flag_value(argc, argv, i));
       if (threads == 0) threads = 1;
-    }
-    if (!std::strcmp(argv[i], "--reduce") && i + 1 < argc) {
-      auto level = gpo::reduce::parse_reduce_level(argv[++i]);
+    } else if (!std::strcmp(argv[i], "--reduce")) {
+      auto level = gpo::reduce::parse_reduce_level(flag_value(argc, argv, i));
       if (!level.has_value()) {
         std::cerr << "--reduce must be off, safe or aggressive, got '"
                   << argv[i] << "'\n";
         return 2;
       }
       reduce_level = *level;
+    } else {
+      gpo::util::unknown_flag(
+          argv[i],
+          "usage: bench_table1 [--quick] [--max-seconds S] [--csv FILE] "
+          "[--threads N] [--report FILE] [--reduce L]");
     }
   }
 

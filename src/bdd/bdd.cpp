@@ -10,24 +10,23 @@ BddManager::BddManager(Var num_vars, std::size_t node_limit)
 
 Ref BddManager::make_node(Var var, Ref low, Ref high) {
   if (low == high) return low;  // redundant-test elimination
-  return table_.insert(var, low, high);
+  const Ref r = table_.insert(var, low, high);
+  cache_.reserve(table_.size());
+  return r;
 }
 
 Ref BddManager::var(Var v) { return make_node(v, kFalse, kTrue); }
 Ref BddManager::nvar(Var v) { return make_node(v, kTrue, kFalse); }
 
-Ref BddManager::ite(Ref f, Ref g, Ref h) { return ite_rec(f, g, h); }
-
-Ref BddManager::ite_rec(Ref f, Ref g, Ref h) {
+Ref BddManager::ite(Ref f, Ref g, Ref h) {
   // Terminal cases.
   if (f == kTrue) return g;
   if (f == kFalse) return h;
   if (g == h) return g;
   if (g == kTrue && h == kFalse) return f;
 
-  TripleKey key{f, g, h};
-  if (auto it = ite_cache_.find(key); it != ite_cache_.end())
-    return it->second;
+  Ref out;
+  if (cache_.lookup(kOpIte, f, g, h, out)) return out;
 
   Var top = node(f).var;
   top = std::min(top, node(g).var);
@@ -38,10 +37,10 @@ Ref BddManager::ite_rec(Ref f, Ref g, Ref h) {
     return hi ? node(x).high : node(x).low;
   };
 
-  Ref lo = ite_rec(cof(f, false), cof(g, false), cof(h, false));
-  Ref hi = ite_rec(cof(f, true), cof(g, true), cof(h, true));
+  Ref lo = ite(cof(f, false), cof(g, false), cof(h, false));
+  Ref hi = ite(cof(f, true), cof(g, true), cof(h, true));
   Ref result = make_node(top, lo, hi);
-  ite_cache_.emplace(key, result);
+  cache_.store(kOpIte, f, g, h, result);
   return result;
 }
 
@@ -54,62 +53,48 @@ Ref BddManager::cube(const std::vector<Var>& vars) {
 }
 
 Ref BddManager::exists(Ref f, Ref cube) {
-  std::unordered_map<TripleKey, Ref, TripleKeyHash> cache;
-  return exists_rec(f, cube, cache, /*universal=*/false);
+  return exists_rec(f, cube, /*universal=*/false);
 }
 
 Ref BddManager::forall(Ref f, Ref cube) {
-  std::unordered_map<TripleKey, Ref, TripleKeyHash> cache;
-  return exists_rec(f, cube, cache, /*universal=*/true);
+  return exists_rec(f, cube, /*universal=*/true);
 }
 
-Ref BddManager::exists_rec(
-    Ref f, Ref cube, std::unordered_map<TripleKey, Ref, TripleKeyHash>& cache,
-    bool universal) {
+Ref BddManager::exists_rec(Ref f, Ref cube, bool universal) {
   if (is_terminal(f)) return f;
   // Skip quantified variables above f's top level: they don't constrain f.
   while (!is_terminal(cube) && node(cube).var < node(f).var)
     cube = node(cube).high;
   if (cube == kTrue) return f;
 
-  TripleKey key{f, cube, universal ? Ref{1} : Ref{0}};
-  if (auto it = cache.find(key); it != cache.end()) return it->second;
+  const Op op = universal ? kOpForall : kOpExists;
+  Ref out;
+  if (cache_.lookup(op, f, cube, 0, out)) return out;
 
   // Copy: recursion below may grow the node arena and invalidate references.
   const dd::Node n = node(f);
   Ref result;
   if (n.var == node(cube).var) {
-    Ref lo = exists_rec(n.low, node(cube).high, cache, universal);
-    Ref hi = exists_rec(n.high, node(cube).high, cache, universal);
+    Ref lo = exists_rec(n.low, node(cube).high, universal);
+    Ref hi = exists_rec(n.high, node(cube).high, universal);
     result = universal ? apply_and(lo, hi) : apply_or(lo, hi);
   } else {
-    Ref lo = exists_rec(n.low, cube, cache, universal);
-    Ref hi = exists_rec(n.high, cube, cache, universal);
+    Ref lo = exists_rec(n.low, cube, universal);
+    Ref hi = exists_rec(n.high, cube, universal);
     result = make_node(n.var, lo, hi);
   }
-  cache.emplace(key, result);
+  cache_.store(op, f, cube, 0, result);
   return result;
 }
 
 Ref BddManager::and_exists(Ref f, Ref g, Ref cube) {
-  // The persistent cache is keyed on (f, g, inner cube); clearing it when the
-  // caller switches to a different top-level cube keeps it from growing
-  // without bound across unrelated image computations.
-  if (cube != and_exists_cube_marker_) {
-    and_exists_cache_.clear();
-    and_exists_cube_marker_ = cube;
-  }
-  return and_exists_rec(f, g, cube);
-}
-
-Ref BddManager::and_exists_rec(Ref f, Ref g, Ref cube) {
   if (f == kFalse || g == kFalse) return kFalse;
   if (cube == kTrue) return apply_and(f, g);
   if (f == kTrue && g == kTrue) return kTrue;
 
-  TripleKey key{f, g, cube};
-  if (auto it = and_exists_cache_.find(key); it != and_exists_cache_.end())
-    return it->second;
+  const Ref key_cube = cube;
+  Ref out;
+  if (cache_.lookup(kOpAndExists, f, g, key_cube, out)) return out;
 
   Var top = std::min(node(f).var, node(g).var);
   // Quantified variables above both supports contribute nothing.
@@ -117,7 +102,7 @@ Ref BddManager::and_exists_rec(Ref f, Ref g, Ref cube) {
     cube = node(cube).high;
   if (cube == kTrue) {
     Ref r = apply_and(f, g);
-    and_exists_cache_.emplace(key, r);
+    cache_.store(kOpAndExists, f, g, key_cube, r);
     return r;
   }
 
@@ -129,19 +114,19 @@ Ref BddManager::and_exists_rec(Ref f, Ref g, Ref cube) {
   Ref result;
   if (node(cube).var == top) {
     Ref inner = node(cube).high;
-    Ref lo = and_exists_rec(cof(f, false), cof(g, false), inner);
+    Ref lo = and_exists(cof(f, false), cof(g, false), inner);
     if (lo == kTrue) {
       result = kTrue;  // short-circuit: ∨ with anything is true
     } else {
-      Ref hi = and_exists_rec(cof(f, true), cof(g, true), inner);
+      Ref hi = and_exists(cof(f, true), cof(g, true), inner);
       result = apply_or(lo, hi);
     }
   } else {
-    Ref lo = and_exists_rec(cof(f, false), cof(g, false), cube);
-    Ref hi = and_exists_rec(cof(f, true), cof(g, true), cube);
+    Ref lo = and_exists(cof(f, false), cof(g, false), cube);
+    Ref hi = and_exists(cof(f, true), cof(g, true), cube);
     result = make_node(top, lo, hi);
   }
-  and_exists_cache_.emplace(key, result);
+  cache_.store(kOpAndExists, f, g, key_cube, result);
   return result;
 }
 
@@ -153,20 +138,22 @@ Ref BddManager::rename(Ref f, const std::vector<Var>& map) {
       throw std::invalid_argument(
           "BddManager::rename: map is not strictly monotone on support");
   }
-  std::unordered_map<Ref, Ref> cache;
-  return rename_rec(f, map, cache);
+  // A fresh epoch per call; should the counter wrap, entries of the calls
+  // that used the same epoch 2^32 calls ago must not match, so they go.
+  if (++rename_epoch_ == 0) cache_.clear();
+  return rename_rec(f, map);
 }
 
-Ref BddManager::rename_rec(Ref f, const std::vector<Var>& map,
-                           std::unordered_map<Ref, Ref>& cache) {
+Ref BddManager::rename_rec(Ref f, const std::vector<Var>& map) {
   if (is_terminal(f)) return f;
-  if (auto it = cache.find(f); it != cache.end()) return it->second;
+  Ref out;
+  if (cache_.lookup(kOpRename, f, rename_epoch_, 0, out)) return out;
   // Copy: recursion below may grow the node arena and invalidate references.
   const dd::Node n = node(f);
-  Ref lo = rename_rec(n.low, map, cache);
-  Ref hi = rename_rec(n.high, map, cache);
+  Ref lo = rename_rec(n.low, map);
+  Ref hi = rename_rec(n.high, map);
   Ref result = make_node(map[n.var], lo, hi);
-  cache.emplace(f, result);
+  cache_.store(kOpRename, f, rename_epoch_, 0, result);
   return result;
 }
 
@@ -174,18 +161,15 @@ Ref BddManager::restrict_var(Ref f, Var v, bool value) {
   if (is_terminal(f) || node(f).var > v) return f;
   if (node(f).var == v) return value ? node(f).high : node(f).low;
   // f's top var is above v: rebuild.
-  std::unordered_map<Ref, Ref> cache;
-  std::function<Ref(Ref)> rec = [&](Ref x) -> Ref {
-    if (is_terminal(x) || node(x).var > v) return x;
-    if (node(x).var == v) return value ? node(x).high : node(x).low;
-    if (auto it = cache.find(x); it != cache.end()) return it->second;
-    // Copy: the recursive calls below may grow the arena.
-    const dd::Node n = node(x);
-    Ref r = make_node(n.var, rec(n.low), rec(n.high));
-    cache.emplace(x, r);
-    return r;
-  };
-  return rec(f);
+  Ref out;
+  if (cache_.lookup(kOpRestrict, f, v, value, out)) return out;
+  // Copy: the recursive calls below may grow the arena.
+  const dd::Node n = node(f);
+  Ref lo = restrict_var(n.low, v, value);
+  Ref hi = restrict_var(n.high, v, value);
+  Ref result = make_node(n.var, lo, hi);
+  cache_.store(kOpRestrict, f, v, value, result);
+  return result;
 }
 
 double BddManager::sat_count(Ref f, const std::vector<Var>& counted_vars) {
@@ -197,29 +181,30 @@ double BddManager::sat_count(Ref f, const std::vector<Var>& counted_vars) {
   for (std::size_t i = 0; i < sorted.size(); ++i) position[sorted[i]] = i;
   position[nv] = static_cast<std::uint32_t>(sorted.size());
 
-  for (Var v : support(f))
-    if (position[v] == static_cast<std::uint32_t>(-1))
-      throw std::invalid_argument(
-          "sat_count: support not contained in counted variables");
-
-  std::unordered_map<Ref, double> cache;
-  std::function<double(Ref)> rec = [&](Ref x) -> double {
+  // Bottom-up over f's nodes: ascending Refs put children first.
+  const std::vector<Ref> nodes = table_.reachable(f);
+  std::vector<double> counts(nodes.size());
+  auto count_of = [&](Ref x) -> double {
     if (x == kFalse) return 0.0;
     if (x == kTrue) return 1.0;
-    if (auto it = cache.find(x); it != cache.end()) return it->second;
-    const dd::Node& n = node(x);
+    return counts[std::lower_bound(nodes.begin(), nodes.end(), x) -
+                  nodes.begin()];
+  };
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const dd::Node& n = node(nodes[i]);
+    if (position[n.var] == static_cast<std::uint32_t>(-1))
+      throw std::invalid_argument(
+          "sat_count: support not contained in counted variables");
     auto weight = [&](Ref child) {
-      // Levels skipped between x and child double the count each.
+      // Levels skipped between the node and child double the count each.
       std::uint32_t from = position[n.var] + 1;
       std::uint32_t to = position[node(child).var];
-      return rec(child) * std::pow(2.0, static_cast<double>(to - from));
+      return count_of(child) * std::pow(2.0, static_cast<double>(to - from));
     };
-    double r = weight(n.low) + weight(n.high);
-    cache.emplace(x, r);
-    return r;
-  };
+    counts[i] = weight(n.low) + weight(n.high);
+  }
   double top_skip = static_cast<double>(position[node(f).var]);
-  return rec(f) * std::pow(2.0, top_skip);
+  return count_of(f) * std::pow(2.0, top_skip);
 }
 
 util::Bitset BddManager::pick_one_sat(Ref f) {
@@ -277,18 +262,8 @@ bool BddManager::enumerate_sats(
 }
 
 std::vector<Var> BddManager::support(Ref f) const {
-  std::vector<bool> seen(table_.size(), false);
   std::vector<bool> in_support(num_vars(), false);
-  std::vector<Ref> stack{f};
-  while (!stack.empty()) {
-    Ref x = stack.back();
-    stack.pop_back();
-    if (is_terminal(x) || seen[x]) continue;
-    seen[x] = true;
-    in_support[node(x).var] = true;
-    stack.push_back(node(x).low);
-    stack.push_back(node(x).high);
-  }
+  for (Ref x : table_.reachable(f)) in_support[node(x).var] = true;
   std::vector<Var> out;
   for (Var v = 0; v < num_vars(); ++v)
     if (in_support[v]) out.push_back(v);
@@ -296,28 +271,7 @@ std::vector<Var> BddManager::support(Ref f) const {
 }
 
 std::size_t BddManager::node_count(Ref f) const {
-  std::vector<bool> seen(table_.size(), false);
-  std::vector<Ref> stack{f};
-  std::size_t count = 0;
-  bool saw_false = false, saw_true = false;
-  while (!stack.empty()) {
-    Ref x = stack.back();
-    stack.pop_back();
-    if (x == kFalse) {
-      saw_false = true;
-      continue;
-    }
-    if (x == kTrue) {
-      saw_true = true;
-      continue;
-    }
-    if (seen[x]) continue;
-    seen[x] = true;
-    ++count;
-    stack.push_back(node(x).low);
-    stack.push_back(node(x).high);
-  }
-  return count + (saw_false ? 1 : 0) + (saw_true ? 1 : 0);
+  return table_.node_count(f);
 }
 
 }  // namespace gpo::bdd

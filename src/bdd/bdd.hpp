@@ -4,12 +4,16 @@
 // of GPN set families (src/core/set_family.hpp).
 //
 // Design notes:
-//  * Nodes live in one arena and are hash-consed through a unique table
-//    (dd::NodeTable, the kernel shared with the zero-suppressed package in
-//    zdd.hpp), so two equivalent functions always have the same Ref —
-//    equality is O(1). The BDD-specific reduction rule (redundant-test
-//    elimination: low == high ⇒ low) is applied here in make_node; the
-//    shared table is a pure structural interner.
+//  * Nodes live in the kernel's flat arena and are hash-consed through its
+//    open-addressing unique table (dd::NodeTable, shared with the
+//    zero-suppressed package in zdd.hpp), so two equivalent functions always
+//    have the same Ref — equality is O(1). The BDD-specific reduction rule
+//    (redundant-test elimination: low == high ⇒ low) is applied here in
+//    make_node; the shared table is a pure structural interner.
+//  * Every memoized operation — ite, and_exists, exists, forall, rename and
+//    restrict_var — goes through the one dd::ComputedCache, keyed by an op
+//    code and up to three Refs. The cache is lossy and sized from the node
+//    table, so memory follows the diagrams, not the number of calls.
 //  * No complement edges: negation is a cached O(|f|) traversal. This keeps
 //    the invariants simple; the verification workloads here are bounded by
 //    variable ordering, not by the constant factor complement edges buy.
@@ -19,16 +23,15 @@
 //    orderings into a clean BddLimitExceeded instead of memory exhaustion.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bdd/dd_kernel.hpp"
 #include "util/bitset.hpp"
-#include "util/hash.hpp"
 
 namespace gpo::bdd {
 
@@ -117,41 +120,42 @@ class BddManager {
   /// Arena size == peak live nodes (no GC), the Table-1 "peak BDD" metric.
   [[nodiscard]] std::size_t total_nodes() const { return table_.size(); }
 
+  /// Node-table and computed-cache counters (per-op split named by kOpNames).
+  [[nodiscard]] dd::Stats stats() const {
+    return dd::collect_stats(table_, cache_, kOpNames);
+  }
+
+  /// Names of the op codes the computed cache is keyed on, in code order.
+  static constexpr std::array<const char*, 6> kOpNames = {
+      "ite", "and_exists", "exists", "forall", "rename", "restrict"};
+
   [[nodiscard]] Var var_of(Ref f) const { return table_.node(f).var; }
   [[nodiscard]] Ref low_of(Ref f) const { return table_.node(f).low; }
   [[nodiscard]] Ref high_of(Ref f) const { return table_.node(f).high; }
   [[nodiscard]] bool is_terminal(Ref f) const { return f <= kTrue; }
 
  private:
-  struct TripleKey {
-    Ref a, b, c;
-    bool operator==(const TripleKey&) const = default;
-  };
-  struct TripleKeyHash {
-    std::size_t operator()(const TripleKey& k) const {
-      return static_cast<std::size_t>(util::mix64(
-          (std::uint64_t{k.a} << 42) ^ (std::uint64_t{k.b} << 21) ^ k.c));
-    }
+  enum Op : std::uint8_t {
+    kOpIte = 0,
+    kOpAndExists = 1,
+    kOpExists = 2,
+    kOpForall = 3,
+    kOpRename = 4,
+    kOpRestrict = 5,
   };
 
   [[nodiscard]] const dd::Node& node(Ref r) const { return table_.node(r); }
 
   Ref make_node(Var var, Ref low, Ref high);
 
-  Ref ite_rec(Ref f, Ref g, Ref h);
-  Ref exists_rec(Ref f, Ref cube,
-                 std::unordered_map<TripleKey, Ref, TripleKeyHash>& cache,
-                 bool universal);
-  Ref and_exists_rec(Ref f, Ref g, Ref cube);
-  Ref rename_rec(Ref f, const std::vector<Var>& map,
-                 std::unordered_map<Ref, Ref>& cache);
+  Ref exists_rec(Ref f, Ref cube, bool universal);
+  Ref rename_rec(Ref f, const std::vector<Var>& map);
 
   dd::NodeTable table_;
-  std::unordered_map<TripleKey, Ref, TripleKeyHash> ite_cache_;
-  std::unordered_map<TripleKey, Ref, TripleKeyHash> and_exists_cache_;
-  /// and_exists keys its cache on (f, g, cube); the marker lets us clear the
-  /// cache when callers switch cubes so it cannot grow without bound.
-  Ref and_exists_cube_marker_ = kFalse;
+  dd::ComputedCache cache_;
+  /// rename() keys its cache entries on (f, rename_epoch_): the map is not a
+  /// Ref, so each call takes a fresh epoch and sees only its own entries.
+  Ref rename_epoch_ = 0;
 };
 
 }  // namespace gpo::bdd

@@ -177,10 +177,11 @@ SymbolicResult SymbolicReachability::analyze() {
                  : 0.0);
     reg.timer(p + "seconds")
         .record_ns(static_cast<std::uint64_t>(result.seconds * 1e9));
-    // Node record (var, low, high = 12B) plus a unique-table entry of the
-    // same key + index: ~24B per live node in this manager.
+    // The manager's heap as allocated: 12 B per arena node, 4 B per
+    // unique-table slot (2-4 slots per node at load ¼-½) and the computed
+    // cache, which follows the node count up to its ceiling.
     reg.gauge("mem." + p + "node_bytes")
-        .set(static_cast<double>(result.peak_nodes) * 24.0);
+        .set(static_cast<double>(mgr.stats().memory_bytes));
   }
   return result;
 }

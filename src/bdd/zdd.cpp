@@ -1,6 +1,7 @@
 #include "bdd/zdd.hpp"
 
-#include <unordered_map>
+#include <algorithm>
+#include <cstdint>
 #include <utility>
 
 namespace gpo::zdd {
@@ -39,7 +40,7 @@ Ref ZddManager::unite_rec(Ref f, Ref g) {
   if (f > g) std::swap(f, g);  // commutative: canonical operand order
 
   Ref out;
-  if (cache_.lookup(kOpUnite, f, g, out)) return out;
+  if (cache_.lookup(kOpUnite, f, g, 0, out)) return out;
 
   const Var vf = node(f).var;
   const Var vg = node(g).var;
@@ -59,7 +60,7 @@ Ref ZddManager::unite_rec(Ref f, Ref g) {
     Ref hi = unite_rec(nf.high, ng.high);
     result = make_node(vf, lo, hi);
   }
-  cache_.store(kOpUnite, f, g, result);
+  cache_.store(kOpUnite, f, g, 0, result);
   return result;
 }
 
@@ -69,7 +70,7 @@ Ref ZddManager::intersect_rec(Ref f, Ref g) {
   if (f > g) std::swap(f, g);
 
   Ref out;
-  if (cache_.lookup(kOpIntersect, f, g, out)) return out;
+  if (cache_.lookup(kOpIntersect, f, g, 0, out)) return out;
 
   const Var vf = node(f).var;
   const Var vg = node(g).var;
@@ -86,7 +87,7 @@ Ref ZddManager::intersect_rec(Ref f, Ref g) {
     Ref hi = intersect_rec(nf.high, ng.high);
     result = make_node(vf, lo, hi);
   }
-  cache_.store(kOpIntersect, f, g, result);
+  cache_.store(kOpIntersect, f, g, 0, result);
   return result;
 }
 
@@ -95,7 +96,7 @@ Ref ZddManager::subtract_rec(Ref f, Ref g) {
   if (g == kEmpty) return f;
 
   Ref out;
-  if (cache_.lookup(kOpSubtract, f, g, out)) return out;
+  if (cache_.lookup(kOpSubtract, f, g, 0, out)) return out;
 
   const Var vf = node(f).var;
   const Var vg = node(g).var;
@@ -114,7 +115,7 @@ Ref ZddManager::subtract_rec(Ref f, Ref g) {
     Ref hi = subtract_rec(nf.high, ng.high);
     result = make_node(vf, lo, hi);
   }
-  cache_.store(kOpSubtract, f, g, result);
+  cache_.store(kOpSubtract, f, g, 0, result);
   return result;
 }
 
@@ -124,7 +125,7 @@ Ref ZddManager::containing_rec(Ref f, Var t) {
   if (vf > t) return kEmpty;  // t can no longer appear below this level
 
   Ref out;
-  if (cache_.lookup(kOpContaining, f, static_cast<Ref>(t), out)) return out;
+  if (cache_.lookup(kOpContaining, f, static_cast<Ref>(t), 0, out)) return out;
 
   Ref result;
   if (vf == t) {
@@ -136,7 +137,7 @@ Ref ZddManager::containing_rec(Ref f, Var t) {
     Ref hi = containing_rec(nf.high, t);
     result = make_node(vf, lo, hi);
   }
-  cache_.store(kOpContaining, f, static_cast<Ref>(t), result);
+  cache_.store(kOpContaining, f, static_cast<Ref>(t), 0, result);
   return result;
 }
 
@@ -147,7 +148,7 @@ Ref ZddManager::product_rec(Ref f, Ref g) {
   if (f > g) std::swap(f, g);  // {S ∪ T} is commutative
 
   Ref out;
-  if (cache_.lookup(kOpProduct, f, g, out)) return out;
+  if (cache_.lookup(kOpProduct, f, g, 0, out)) return out;
 
   const Var vf = node(f).var;
   const Var vg = node(g).var;
@@ -172,7 +173,7 @@ Ref ZddManager::product_rec(Ref f, Ref g) {
     Ref lo = product_rec(nf.low, ng.low);
     result = make_node(vf, lo, hi);
   }
-  cache_.store(kOpProduct, f, g, result);
+  cache_.store(kOpProduct, f, g, 0, result);
   return result;
 }
 
@@ -195,19 +196,22 @@ bool ZddManager::contains(Ref f, const util::Bitset& set) const {
 }
 
 std::size_t ZddManager::count(Ref f) const {
-  std::unordered_map<Ref, std::size_t> memo;
-  std::function<std::size_t(Ref)> rec = [&](Ref x) -> std::size_t {
+  // Bottom-up over f's nodes: ascending Refs put children first.
+  const std::vector<Ref> nodes = table_.reachable(f);
+  std::vector<std::size_t> counts(nodes.size());
+  auto count_of = [&](Ref x) -> std::size_t {
     if (x == kEmpty) return 0;
     if (x == kUnit) return 1;
-    if (auto it = memo.find(x); it != memo.end()) return it->second;
-    const dd::Node& n = node(x);
-    std::size_t lo = rec(n.low);
-    std::size_t hi = rec(n.high);
-    std::size_t sum = lo > SIZE_MAX - hi ? SIZE_MAX : lo + hi;  // saturate
-    memo.emplace(x, sum);
-    return sum;
+    return counts[std::lower_bound(nodes.begin(), nodes.end(), x) -
+                  nodes.begin()];
   };
-  return rec(f);
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    const dd::Node& n = node(nodes[i]);
+    std::size_t lo = count_of(n.low);
+    std::size_t hi = count_of(n.high);
+    counts[i] = lo > SIZE_MAX - hi ? SIZE_MAX : lo + hi;  // saturate
+  }
+  return count_of(f);
 }
 
 bool ZddManager::enumerate(
@@ -233,28 +237,7 @@ bool ZddManager::enumerate(
 }
 
 std::size_t ZddManager::node_count(Ref f) const {
-  std::vector<bool> seen(table_.size(), false);
-  std::vector<Ref> stack{f};
-  std::size_t count = 0;
-  bool saw_empty = false, saw_unit = false;
-  while (!stack.empty()) {
-    Ref x = stack.back();
-    stack.pop_back();
-    if (x == kEmpty) {
-      saw_empty = true;
-      continue;
-    }
-    if (x == kUnit) {
-      saw_unit = true;
-      continue;
-    }
-    if (seen[x]) continue;
-    seen[x] = true;
-    ++count;
-    stack.push_back(node(x).low);
-    stack.push_back(node(x).high);
-  }
-  return count + (saw_empty ? 1 : 0) + (saw_unit ? 1 : 0);
+  return table_.node_count(f);
 }
 
 }  // namespace gpo::zdd

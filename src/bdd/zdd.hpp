@@ -41,37 +41,13 @@ inline constexpr Ref kUnit = dd::kTerminal1;
 /// Thrown when an operation would grow the arena past the node limit.
 using ZddLimitExceeded = dd::DdLimitExceeded;
 
-/// Counters for the telemetry layer (zdd.* gauges of the run report).
-struct ZddStats {
-  /// Op kinds in the per-op cache breakdown (index == ZddManager's Op enum).
-  static constexpr std::size_t kOpCount = 5;
-  /// Registry-friendly op names, parallel to the per-op arrays.
-  static constexpr const char* kOpNames[kOpCount] = {
-      "unite", "intersect", "subtract", "containing", "product"};
-
-  std::size_t nodes = 0;  ///< arena size == peak live nodes (no GC)
-  std::size_t cache_hits = 0;
-  std::size_t cache_misses = 0;
-  std::size_t cache_evictions = 0;
-  std::size_t cache_occupied = 0;
-  std::size_t cache_entries = 0;
-  std::size_t memory_bytes = 0;  ///< arena + unique table + computed table
-  /// Per-op decomposition of the hit/miss streams; sums to
-  /// cache_hits/cache_misses.
-  std::array<std::size_t, kOpCount> op_hits{};
-  std::array<std::size_t, kOpCount> op_misses{};
-};
-
 class ZddManager {
  public:
   /// `num_vars` fixes the element universe 0..num_vars-1 (variable index ==
   /// level: smaller index closer to the root, matching the BDD convention).
-  /// `cache_entries` sizes the direct-mapped computed table (rounded up to a
-  /// power of two).
   explicit ZddManager(Var num_vars,
-                      std::size_t node_limit = std::size_t{1} << 23,
-                      std::size_t cache_entries = std::size_t{1} << 16)
-      : table_(num_vars, node_limit, "ZDD"), cache_(cache_entries) {}
+                      std::size_t node_limit = std::size_t{1} << 23)
+      : table_(num_vars, node_limit, "ZDD") {}
 
   [[nodiscard]] Var num_vars() const { return table_.num_vars(); }
 
@@ -80,7 +56,9 @@ class ZddManager {
   /// strictly greater than v (callers maintain the order invariant).
   [[nodiscard]] Ref make_node(Var v, Ref low, Ref high) {
     if (high == kEmpty) return low;  // zero-suppression
-    return table_.insert(v, low, high);
+    const Ref r = table_.insert(v, low, high);
+    cache_.reserve(table_.size());
+    return r;
   }
 
   /// The family {set}.
@@ -103,7 +81,7 @@ class ZddManager {
   /// Membership test for one explicit set; an O(|set| + depth) walk.
   [[nodiscard]] bool contains(Ref f, const util::Bitset& set) const;
 
-  /// Number of member sets (memoized per call; saturates at SIZE_MAX).
+  /// Number of member sets (one bottom-up pass; saturates at SIZE_MAX).
   [[nodiscard]] std::size_t count(Ref f) const;
 
   /// Enumerates member sets as bitsets over the universe, invoking `visit`
@@ -118,25 +96,15 @@ class ZddManager {
   /// Arena size == peak live nodes (no GC).
   [[nodiscard]] std::size_t total_nodes() const { return table_.size(); }
 
-  [[nodiscard]] ZddStats stats() const {
-    ZddStats s;
-    s.nodes = table_.size();
-    s.cache_hits = cache_.hits();
-    s.cache_misses = cache_.misses();
-    s.cache_evictions = cache_.evictions();
-    s.cache_occupied = cache_.occupied();
-    s.cache_entries = cache_.entries();
-    s.memory_bytes = table_.memory_bytes() + cache_.memory_bytes();
-    for (std::size_t op = 0; op < ZddStats::kOpCount; ++op) {
-      s.op_hits[op] = cache_.op_hits(static_cast<std::uint8_t>(op));
-      s.op_misses[op] = cache_.op_misses(static_cast<std::uint8_t>(op));
-    }
-    return s;
+  /// Node-table and computed-cache counters (the zdd.* gauges of the run
+  /// report; per-op split named by kOpNames).
+  [[nodiscard]] dd::Stats stats() const {
+    return dd::collect_stats(table_, cache_, kOpNames);
   }
 
-  [[nodiscard]] std::size_t memory_bytes() const {
-    return table_.memory_bytes() + cache_.memory_bytes();
-  }
+  /// Names of the op codes the computed cache is keyed on, in code order.
+  static constexpr std::array<const char*, 5> kOpNames = {
+      "unite", "intersect", "subtract", "containing", "product"};
 
   [[nodiscard]] Var var_of(Ref f) const { return table_.node(f).var; }
   [[nodiscard]] Ref low_of(Ref f) const { return table_.node(f).low; }
@@ -161,7 +129,7 @@ class ZddManager {
   Ref product_rec(Ref f, Ref g);
 
   dd::NodeTable table_;
-  mutable dd::ComputedCache cache_;
+  dd::ComputedCache cache_;
 };
 
 }  // namespace gpo::zdd

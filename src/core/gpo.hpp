@@ -26,8 +26,8 @@ using InternedGpnState = GpnState<InternedFamily>;
 /// With FamilyKind::kExplicit or kInterned, nets whose explicit r0 would
 /// exceed the enumeration cap throw std::length_error — switch to kBdd, or
 /// to GpoOptions::family_store == FamilyStore::kZdd (whose r0 is built
-/// symbolically from the conflict graph), for those. kInterned and kZdd
-/// runs additionally report GpoResult::family_stats. FamilyStore::kZdd
+/// symbolically from the conflict graph), for those. kInterned, kBdd and
+/// kZdd runs additionally report GpoResult::family_stats. FamilyStore::kZdd
 /// replaces the family storage of kExplicit/kInterned with the canonical ZDD
 /// backend (sequential only); kBdd ignores it.
 [[nodiscard]] GpoResult run_gpo(const petri::PetriNet& net,

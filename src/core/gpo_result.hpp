@@ -16,6 +16,10 @@
 #include "util/bitset.hpp"
 #include "util/cancel_token.hpp"
 
+namespace gpo::dd {
+struct Stats;
+}  // namespace gpo::dd
+
 namespace gpo::core {
 
 /// Storage backend for the canonical families of the reduced search.
@@ -85,17 +89,19 @@ struct GpoOptions {
   FamilyStore family_store = FamilyStore::kExplicit;
 };
 
-/// Counters of the canonical family store (FamilyKind::kInterned, or any
-/// kind run with FamilyStore::kZdd; `available` stays false for the plain
-/// explicit/BDD representations).
+/// Counters of the canonical family store (FamilyKind::kInterned and kBdd,
+/// or any kind run with FamilyStore::kZdd; `available` stays false for the
+/// plain explicit representation).
 struct GpoFamilyStats {
   bool available = false;
   /// Which store produced the counters: "interned" (hash-consed explicit
-  /// arena) or "zdd" (canonical zero-suppressed DD manager).
+  /// arena), "zdd" (canonical zero-suppressed DD manager) or "bdd" (the
+  /// BDD manager of FamilyKind::kBdd).
   std::string backend;
-  /// Distinct canonical families in the interner arena (== peak: the arena
-  /// only grows during an analysis). Zero for the zdd backend, whose
-  /// families share nodes instead of occupying arena slots.
+  /// Distinct canonical families in the store (== peak: nothing is freed
+  /// during an analysis): interner arena slots, or BDD nodes for the bdd
+  /// backend, each of which is the root of one canonical family. Zero for
+  /// the zdd backend, which reports zdd_nodes instead.
   std::size_t distinct_families = 0;
   /// Families presented for interning; dedup_ratio = intern_calls /
   /// distinct_families is how many deep constructions hash-consing saved.
@@ -111,20 +117,26 @@ struct GpoFamilyStats {
   /// Total computed-table slots (summed over per-thread caches).
   std::size_t op_cache_capacity = 0;
   /// Payload bytes of the canonical store (explicit arena: member vectors +
-  /// bitset words; zdd: node arena + unique table + computed table).
+  /// bitset words; zdd/bdd: node arena + unique table + computed table).
   std::size_t families_bytes = 0;
   /// Peak live ZDD nodes (zdd backend only; the DD analogue of
   /// distinct_families).
   std::size_t zdd_nodes = 0;
-  /// Per-op-kind computed-cache breakdown (zdd backend only): one entry per
-  /// family-algebra op, published as zdd.cache.<op>.{hits,misses}.
+  /// Per-op-kind computed-cache breakdown (zdd and bdd backends): one entry
+  /// per DD op, published as <backend>.cache.<op>.{hits,misses}.
   struct OpCacheCount {
     std::string op;
     std::size_t hits = 0;
     std::size_t misses = 0;
   };
-  std::vector<OpCacheCount> zdd_op_counts;
+  std::vector<OpCacheCount> op_counts;
 };
+
+/// Fills `out` from a decision-diagram manager's kernel counters; `backend`
+/// is "zdd" or "bdd" (the bdd backend reports its nodes as
+/// distinct_families, the zdd backend as zdd_nodes).
+void fill_dd_family_stats(const dd::Stats& s, const char* backend,
+                          GpoFamilyStats& out);
 
 struct GpoResult {
   std::size_t state_count = 0;

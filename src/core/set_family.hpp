@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "bdd/bdd.hpp"
+#include "core/gpo_result.hpp"
 #include "petri/conflict.hpp"
 #include "petri/net.hpp"
 #include "util/bitset.hpp"
@@ -145,6 +146,12 @@ class BddFamily {
     /// polynomial in the net size, never enumerated.
     [[nodiscard]] BddFamily initial_valid_sets(
         const petri::ConflictInfo& conflicts) const;
+
+    /// GpoResult hook, as ZddFamily::Context's: the BDD manager's node and
+    /// computed-cache counters.
+    void fill_stats(GpoFamilyStats& out) const {
+      fill_dd_family_stats(manager_->stats(), "bdd", out);
+    }
 
    private:
     std::size_t num_transitions_;

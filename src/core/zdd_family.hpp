@@ -38,12 +38,10 @@ class ZddFamily {
   class Context {
    public:
     explicit Context(std::size_t num_transitions,
-                     std::size_t node_limit = std::size_t{1} << 23,
-                     std::size_t cache_entries = std::size_t{1} << 16)
+                     std::size_t node_limit = std::size_t{1} << 23)
         : num_transitions_(num_transitions),
           manager_(std::make_unique<zdd::ZddManager>(
-              static_cast<zdd::Var>(num_transitions), node_limit,
-              cache_entries)) {}
+              static_cast<zdd::Var>(num_transitions), node_limit)) {}
 
     Context(const Context&) = delete;
     Context& operator=(const Context&) = delete;
@@ -72,25 +70,7 @@ class ZddFamily {
     /// GpoResult hook: GpnAnalyzer::explore() detects this method at compile
     /// time and surfaces the counters in GpoResult::family_stats.
     void fill_stats(GpoFamilyStats& out) const {
-      zdd::ZddStats s = manager_->stats();
-      out.available = true;
-      out.backend = "zdd";
-      out.op_cache_hits = s.cache_hits;
-      out.op_cache_misses = s.cache_misses;
-      std::size_t total = s.cache_hits + s.cache_misses;
-      out.op_cache_hit_rate =
-          total == 0 ? 0.0
-                     : static_cast<double>(s.cache_hits) /
-                           static_cast<double>(total);
-      out.op_cache_evictions = s.cache_evictions;
-      out.op_cache_occupied = s.cache_occupied;
-      out.op_cache_capacity = s.cache_entries;
-      out.families_bytes = s.memory_bytes;
-      out.zdd_nodes = s.nodes;
-      out.zdd_op_counts.clear();
-      for (std::size_t op = 0; op < zdd::ZddStats::kOpCount; ++op)
-        out.zdd_op_counts.push_back(
-            {zdd::ZddStats::kOpNames[op], s.op_hits[op], s.op_misses[op]});
+      fill_dd_family_stats(manager_->stats(), "zdd", out);
     }
 
    private:

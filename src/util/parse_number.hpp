@@ -43,4 +43,22 @@ template <typename T>
   return *n;
 }
 
+/// The value of the flag at argv[i], advancing i past it: a flag given last,
+/// with no value, is a usage error that names it (stderr, exit code 2).
+[[nodiscard]] inline const char* flag_value(int argc, char** argv, int& i) {
+  if (i + 1 >= argc) {
+    std::cerr << argv[i] << " needs a value\n";
+    std::exit(2);
+  }
+  return argv[++i];
+}
+
+/// A command-line word no branch of the parser accepted: usage error (the
+/// word and `usage` on stderr, exit code 2).
+[[noreturn]] inline void unknown_flag(std::string_view flag,
+                                      std::string_view usage) {
+  std::cerr << "unknown flag '" << flag << "'\n" << usage << "\n";
+  std::exit(2);
+}
+
 }  // namespace gpo::util

@@ -59,6 +59,26 @@ TEST(Symbolic, DeadlockWitnessIsDead) {
   EXPECT_TRUE(net.is_deadlocked(*sym.deadlock_witness));
 }
 
+// Peak node counts of the bdd engine (default options) on three Table-1
+// style models. The diagrams are a deterministic function of the net and
+// the variable order, so any change to the kernel's tables that alters how
+// many nodes are interned shows up here.
+TEST(Symbolic, PeakNodesArePinned) {
+  struct Pin {
+    PetriNet (*make)(std::size_t);
+    std::size_t param;
+    std::size_t peak_nodes;
+  };
+  for (const Pin& pin : {Pin{models::make_nsdp, 8, 436098},
+                         Pin{models::make_cyclic_scheduler, 10, 441799},
+                         Pin{models::make_conflict_chain, 12, 713257}}) {
+    PetriNet net = pin.make(pin.param);
+    auto sym = SymbolicReachability(net).analyze();
+    ASSERT_FALSE(sym.blowup) << net.name();
+    EXPECT_EQ(sym.peak_nodes, pin.peak_nodes) << net.name();
+  }
+}
+
 TEST(Symbolic, NodeLimitReportsBlowup) {
   SymbolicOptions opt;
   opt.node_limit = 300;

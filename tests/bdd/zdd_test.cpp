@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <random>
 #include <set>
 #include <vector>
@@ -240,22 +241,40 @@ TEST(Zdd, RandomizedAlgebraMatchesBruteForce) {
   }
 }
 
+// The computed cache is sized from the node table: it starts at
+// kMinEntries, doubles whenever the live nodes outnumber its entries and
+// stops at kMaxEntries, and it never holds more entries than it has slots.
 TEST(Zdd, StatsCountNodesAndCacheTraffic) {
-  ZddManager mgr(10, std::size_t{1} << 20, /*cache_entries=*/64);
+  constexpr std::size_t kVars = 24;
+  ZddManager mgr(kVars);
+  EXPECT_EQ(mgr.stats().cache_entries, dd::ComputedCache::kMinEntries);
   std::mt19937_64 rng(3);
   Ref acc = kEmpty;
-  for (int i = 0; i < 50; ++i) {
-    Bitset s(10);
-    for (std::size_t v = 0; v < 10; ++v)
+  for (int i = 0; i < 3000; ++i) {
+    Bitset s(kVars);
+    for (std::size_t v = 0; v < kVars; ++v)
       if (rng() % 3 == 0) s.set(v);
     acc = mgr.unite(acc, mgr.single(s));
+    const dd::Stats st = mgr.stats();
+    ASSERT_TRUE(std::has_single_bit(st.cache_entries)) << st.cache_entries;
+    ASSERT_LE(st.cache_entries, dd::ComputedCache::kMaxEntries);
+    ASSERT_GE(st.cache_entries,
+              std::min(st.nodes, dd::ComputedCache::kMaxEntries));
+    ASSERT_LE(st.cache_occupied, st.cache_entries);
   }
-  ZddStats s = mgr.stats();
-  EXPECT_GT(s.nodes, 2u);
+  const dd::Stats s = mgr.stats();
+  EXPECT_GT(s.nodes, dd::ComputedCache::kMinEntries);
+  EXPECT_GT(s.cache_entries, dd::ComputedCache::kMinEntries);
   EXPECT_GT(s.cache_misses, 0u);
   EXPECT_GT(s.memory_bytes, 0u);
-  EXPECT_EQ(s.cache_entries, 64u);
-  EXPECT_LE(s.cache_occupied, s.cache_entries);
+  ASSERT_EQ(s.ops.size(), ZddManager::kOpNames.size());
+  std::size_t hits = 0, misses = 0;
+  for (const dd::Stats::OpCount& oc : s.ops) {
+    hits += oc.hits;
+    misses += oc.misses;
+  }
+  EXPECT_EQ(hits, s.cache_hits);
+  EXPECT_EQ(misses, s.cache_misses);
 }
 
 }  // namespace

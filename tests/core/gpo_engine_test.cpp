@@ -238,6 +238,30 @@ TEST(GpoFamilies, ExplicitAndBddAgreeOnModels) {
   }
 }
 
+// gpo-bdd reports the BDD manager's kernel counters like the zdd store:
+// nodes, bytes and computed-cache traffic, in the result and in --stats.
+TEST(GpoFamilies, BddReportsKernelCounters) {
+  PetriNet net = models::make_nsdp(8);
+  obs::MetricsRegistry reg;
+  GpoOptions opt;
+  opt.metrics = &reg;
+  opt.metrics_prefix = "gpo.";
+  const GpoResult r = run_gpo(net, FamilyKind::kBdd, opt);
+  const GpoFamilyStats& fs = r.family_stats;
+  ASSERT_TRUE(fs.available);
+  EXPECT_EQ(fs.backend, "bdd");
+  EXPECT_GT(fs.distinct_families, 2u);  // BDD nodes, terminals included
+  EXPECT_GT(fs.op_cache_misses, 0u);
+  EXPECT_GT(fs.op_cache_capacity, 0u);
+  EXPECT_LE(fs.op_cache_occupied, fs.op_cache_capacity);
+  EXPECT_GT(fs.families_bytes, 0u);
+  EXPECT_EQ(reg.value("gpo.bdd.nodes"),
+            static_cast<double>(fs.distinct_families));
+  EXPECT_EQ(reg.value("gpo.bdd.cache_misses"),
+            static_cast<double>(fs.op_cache_misses));
+  EXPECT_FALSE(reg.value("gpo.family_intern_calls").has_value());
+}
+
 TEST(GpoExplicit, ThrowsPastR0CapAndBddDoesNot) {
   PetriNet net = models::make_conflict_chain(24);  // 2^24 maximal sets
   EXPECT_THROW((void)run_gpo(net, FamilyKind::kExplicit),
