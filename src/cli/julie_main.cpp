@@ -71,13 +71,13 @@ int usage(const char* argv0) {
       << "                      fig3, fig5, fig7}\n"
       << "  --engine E         " << engine_list(" | ") << " | all\n"
       << "                     (default: gpo)\n"
-      << "  --family-store S   explicit | zdd — family storage backend for\n"
-      << "                     the gpo/gpo-intern engines (default explicit;\n"
-      << "                     zdd stores canonical set families as shared\n"
-      << "                     zero-suppressed DDs and builds r0 from the\n"
-      << "                     conflict graph without listing its sets, so\n"
-      << "                     it runs nets past the explicit r0 cap, e.g.\n"
-      << "                     nsdp:12 and up; sequential only)\n"
+      << "  --family-store S   zdd | explicit — family storage backend for\n"
+      << "                     the gpo/gpo-intern engines (default zdd:\n"
+      << "                     canonical set families as shared\n"
+      << "                     zero-suppressed DDs, r0 built from the\n"
+      << "                     conflict graph without listing its sets;\n"
+      << "                     explicit lists r0 and fails past its cap,\n"
+      << "                     e.g. nsdp:12 and up)\n"
       << "  --reduce L         off | safe | aggressive — structural net\n"
       << "                     reduction before the deadlock engines run\n"
       << "                     (default off). The engines analyze the\n"
@@ -239,7 +239,8 @@ int main(int argc, char** argv) {
     return gpo::service::serve_main(argc - 2, argv + 2);
 
   std::string engine = "gpo";
-  gpo::core::FamilyStore family_store = gpo::core::FamilyStore::kExplicit;
+  // Unset unless --family-store names one: the engine table's default.
+  std::optional<gpo::core::FamilyStore> family_store;
   gpo::reduce::ReduceLevel reduce_level = gpo::reduce::ReduceLevel::kOff;
   std::string model_spec;
   std::string net_file;
@@ -644,7 +645,7 @@ int main(int argc, char** argv) {
     req.max_states = max_states;
     req.max_seconds = max_seconds;
     req.threads = num_threads;
-    req.family_store = family_store;
+    if (family_store) req.family_store = *family_store;
     req.metrics = reg;
     req.metrics_prefix = prefix;
     req.tracer = tr;

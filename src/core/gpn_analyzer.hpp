@@ -47,6 +47,7 @@
 #include "por/stubborn.hpp"
 #include "reach/explorer.hpp"
 #include "util/hash.hpp"
+#include "util/marking_table.hpp"
 #include "util/stopwatch.hpp"
 
 namespace gpo::core {
@@ -104,6 +105,9 @@ class GpnAnalyzer {
  public:
   using Context = typename Family::Context;
   using State = GpnState<Family>;
+
+  /// Valid sets mapping() enumerates by default (the guard's seed cap).
+  static constexpr std::size_t kMappingCap = 4096;
 
   GpnAnalyzer(const petri::PetriNet& net, Context& ctx, GpoOptions options = {})
       : net_(net), ctx_(ctx), conflicts_(net), options_(options) {}
@@ -219,17 +223,22 @@ class GpnAnalyzer {
   }
 
   /// mapping(<m,r>) (Definition 3.4): the classical markings represented by
-  /// this GPN state, one per valid set (duplicates collapsed); capped.
-  [[nodiscard]] std::vector<petri::Marking> mapping(const State& s,
-                                                    std::size_t max = 4096)
-      const {
+  /// this GPN state, one per valid set of the first `max`, duplicates
+  /// collapsed (hashed, first-seen order kept). Sets `*truncated` when r has
+  /// more than `max` valid sets.
+  [[nodiscard]] std::vector<petri::Marking> mapping(
+      const State& s, std::size_t max = kMappingCap,
+      bool* truncated = nullptr) const {
+    std::vector<TransitionSet> valid = s.r.members(max + 1);
+    if (truncated != nullptr) *truncated = valid.size() > max;
+    if (valid.size() > max) valid.pop_back();
     std::vector<petri::Marking> out;
-    for (const TransitionSet& v : s.r.members(max)) {
+    util::MarkingTable seen(net_.place_count());
+    for (const TransitionSet& v : valid) {
       petri::Marking m(net_.place_count());
       for (petri::PlaceId p = 0; p < net_.place_count(); ++p)
         if (s.marking[p].contains(v)) m.set(p);
-      if (std::find(out.begin(), out.end(), m) == out.end())
-        out.push_back(std::move(m));
+      if (seen.insert(m.words()).second) out.push_back(std::move(m));
     }
     return out;
   }
@@ -467,9 +476,15 @@ class GpnAnalyzer {
       util::Bitset starving = enabled_at[v] - fired_in[c];
       if (starving.none()) continue;
       ++result.ignoring_expansions;
-      for (petri::Marking& m : mapping(states[v]))
+      bool truncated = false;
+      for (petri::Marking& m : mapping(states[v], kMappingCap, &truncated))
         roots.push_back(std::move(m));
+      if (truncated) ++result.guard_truncated_states;
     }
+    // The delegated search stops at its first deadlock, so the order of its
+    // roots decides its size and witness. Sorting them keeps both independent
+    // of the order in which the family store lists valid sets.
+    std::sort(roots.begin(), roots.end());
     if (!roots.empty())
       run_delegated(roots, remaining_seconds, "ignoring-guard",
                     /*merge_fireable=*/false, result);

@@ -150,6 +150,10 @@ struct GpoResult {
   /// delegated stubborn-set search visited on their behalf.
   std::size_t ignoring_expansions = 0;
   std::size_t delegated_states = 0;
+  /// Flagged states that had more valid sets than mapping() enumerates, so
+  /// only part of their markings seeded the delegated search. Which part
+  /// depends on the order the family store lists valid sets in.
+  std::size_t guard_truncated_states = 0;
   /// The fragmentation bail-out fired (GpoOptions::delegate_after_states):
   /// the verdict was completed by a classical stubborn-set search.
   bool bailed_to_classical = false;

@@ -177,11 +177,9 @@ class MetricsRegistry {
     std::lock_guard<std::mutex> lock(mu_);
     std::vector<Snapshot> out;
     for (const Entry& e : entries_) {
-      if (e.name.size() < prefix.size() ||
-          std::string_view(e.name).substr(0, prefix.size()) != prefix)
-        continue;
+      if (!e.name->starts_with(prefix)) continue;
       Snapshot s;
-      s.name = e.name;
+      s.name = *e.name;
       s.kind = e.kind;
       switch (e.kind) {
         case MetricKind::kCounter: {
@@ -240,7 +238,7 @@ class MetricsRegistry {
 
  private:
   struct Entry {
-    std::string name;
+    const std::string* name;  // the by_name_ key: nodes never move
     MetricKind kind;
     std::size_t index;  // into the deque of its kind
   };
@@ -257,7 +255,7 @@ class MetricsRegistry {
       return store[e.index];
     }
     it->second = entries_.size();
-    entries_.push_back({std::string(name), kind, store.size()});
+    entries_.push_back({&it->first, kind, store.size()});
     store.emplace_back();
     return store.back();
   }
@@ -267,6 +265,8 @@ class MetricsRegistry {
   std::deque<Gauge> gauges_;
   std::deque<Timer> timers_;
   std::deque<Histogram> histograms_;
+  // Each name is stored once, as its by_name_ key: a job's registry outlives
+  // the job in `julie serve`, so per-metric bytes add up per job served.
   std::vector<Entry> entries_;  // registration order
   std::unordered_map<std::string, std::size_t> by_name_;
 };

@@ -113,7 +113,7 @@ SafetyResult check_safety(const PetriNet& net, const SafetyProperty& prop,
   req.max_seconds = options.max_seconds;
   req.cancel = options.cancel;
   req.stop_at_first_deadlock = true;
-  req.family_store = options.family_store;
+  if (options.family_store) req.family_store = *options.family_store;
   req.metrics = options.metrics;
   req.metrics_prefix = "safety.";
   req.tracer = options.tracer;

@@ -73,8 +73,9 @@ struct SafetyOptions {
   double max_seconds = std::numeric_limits<double>::infinity();
   /// Cooperative cancellation, forwarded to the inner engine.
   const util::CancelToken* cancel = nullptr;
-  /// Family storage backend of gpo and gpo-intern.
-  core::FamilyStore family_store = core::FamilyStore::kExplicit;
+  /// Family storage backend of gpo and gpo-intern; unset keeps
+  /// engine::EngineRequest's default.
+  std::optional<core::FamilyStore> family_store;
   /// Optional telemetry: the reduction and the inner engine run get
   /// "safety-reduction" / engine spans on `tracer`, and the inner engine
   /// publishes its counters to `metrics` under "safety.".

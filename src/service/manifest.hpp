@@ -10,9 +10,10 @@
 //   engines=      portfolio to race; default gpo-intern,por,bdd,unfold
 //   max-seconds=  per-job wall budget shared by every racer (default 60)
 //   max-states=   state cap for the explicit racers
-//   family-store= "explicit" | "zdd" — family storage backend for the gpo
-//                 racers of this job (default explicit; zdd = canonical
-//                 zero-suppressed-DD store, lower memory, sequential)
+//   family-store= "zdd" | "explicit" — family storage backend for the gpo
+//                 racers of this job (default zdd, the canonical
+//                 zero-suppressed-DD store; explicit lists r0 and fails
+//                 past its cap)
 //   reduce=       "off" | "safe" | "aggressive" — structural net reduction
 //                 applied ONCE per job before the racers fan out (default
 //                 off); the job verdict transfers through the reduction
@@ -47,9 +48,9 @@ namespace gpo::service {
 inline constexpr double kDefaultJobSeconds = 60.0;
 
 /// The engine set a job races when the manifest names none: the fastest
-/// conclusive engine of each flavour (interned GPO, classical POR, symbolic,
-/// unfolding) — deliberately diverse so structurally different nets each
-/// have a racer that suits them.
+/// conclusive engine of each flavour (GPO on the default zdd family store,
+/// classical POR, symbolic, unfolding) — deliberately diverse so
+/// structurally different nets each have a racer that suits them.
 [[nodiscard]] const std::vector<std::string>& default_portfolio();
 
 struct JobSpec {
@@ -57,8 +58,8 @@ struct JobSpec {
   std::vector<std::string> engines;  // empty = default_portfolio()
   double max_seconds = kDefaultJobSeconds;
   std::size_t max_states = std::numeric_limits<std::size_t>::max();
-  /// "" (engine default, i.e. explicit) | "explicit" | "zdd"; forwarded to
-  /// the gpo racers' GpoOptions::family_store.
+  /// "" (engine::EngineRequest's default, zdd) | "explicit" | "zdd";
+  /// forwarded to the gpo racers' EngineRequest::family_store.
   std::string family_store;
   /// "" (default, off) | "off" | "safe" | "aggressive"; structural net
   /// reduction the scheduler applies once per job before racing (kept as

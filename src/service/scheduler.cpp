@@ -230,8 +230,8 @@ struct PortfolioScheduler::Impl {
       request.max_seconds = js.spec.max_seconds;
       request.cancel = &js.token;
       request.stop_at_first_deadlock = true;
-      request.family_store = core::parse_family_store(js.spec.family_store)
-                                 .value_or(core::FamilyStore::kExplicit);
+      if (auto store = core::parse_family_store(js.spec.family_store))
+        request.family_store = *store;
       request.metrics = js.metrics.get();
       try {
         out = runner(*js.net, request);

@@ -57,7 +57,7 @@ struct JobResult {
   /// Racer whose conclusive answer became the verdict; empty otherwise.
   std::string winner;
   /// Family-store backend the manifest requested for the gpo racers;
-  /// "" = default (explicit).
+  /// "" = engine::EngineRequest's default (zdd).
   std::string family_store;
   std::string expect;          // from the manifest; "" = none
   bool expect_matched = true;  // false iff expect set and verdict differs

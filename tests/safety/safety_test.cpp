@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "models/models.hpp"
@@ -231,16 +232,24 @@ TEST(SafetyOptions, EnginesWithoutADeadlockFilterAreRejected) {
 }
 
 TEST(SafetyOptions, FamilyStoreReachesTheGpoEngines) {
+  // Unset, the store is the engine table's default (zdd); a named store
+  // overrides it.
   PetriNet net = models::make_nsdp(3);
   SafetyProperty prop{{net.find_place("hasL_0"), net.find_place("hasL_1")}};
   for (const char* e : {"gpo", "gpo-intern"}) {
-    obs::MetricsRegistry metrics;
-    SafetyOptions opt;
-    opt.engine = e;
-    opt.family_store = core::FamilyStore::kZdd;
-    opt.metrics = &metrics;
-    EXPECT_TRUE(check_safety(net, prop, opt).violated) << e;
-    EXPECT_FALSE(metrics.snapshot("safety.zdd.").empty()) << e;
+    for (auto store : {std::optional<core::FamilyStore>{},
+                       std::optional{core::FamilyStore::kZdd},
+                       std::optional{core::FamilyStore::kExplicit}}) {
+      obs::MetricsRegistry metrics;
+      SafetyOptions opt;
+      opt.engine = e;
+      opt.family_store = store;
+      opt.metrics = &metrics;
+      EXPECT_TRUE(check_safety(net, prop, opt).violated) << e;
+      EXPECT_EQ(metrics.snapshot("safety.zdd.").empty(),
+                store == core::FamilyStore::kExplicit)
+          << e;
+    }
   }
 }
 

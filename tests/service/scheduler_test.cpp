@@ -215,6 +215,23 @@ TEST(Scheduler, PerJobMetricsAreIsolated) {
   EXPECT_FALSE(ra.metrics->snapshot("engine.por.").empty());
 }
 
+TEST(Scheduler, GpoRacersRunTheDefaultStoreUnlessTheJobNamesOne) {
+  SchedulerOptions opts;
+  opts.pool_threads = 1;
+  PortfolioScheduler scheduler(std::move(opts));
+  JobSpec named = spec_for("nsdp:3", {"gpo-intern"});
+  named.family_store = "explicit";
+  JobResult plain =
+      scheduler.wait(scheduler.submit(spec_for("nsdp:3", {"gpo"})));
+  JobResult expl = scheduler.wait(scheduler.submit(named));
+  EXPECT_EQ(plain.verdict, "deadlock");
+  EXPECT_EQ(expl.verdict, "deadlock");
+  EXPECT_FALSE(plain.metrics->snapshot("engine.gpo.zdd.").empty());
+  EXPECT_TRUE(expl.metrics->snapshot("engine.gpo-intern.zdd.").empty());
+  EXPECT_FALSE(
+      expl.metrics->snapshot("engine.gpo-intern.family_distinct").empty());
+}
+
 /// The scheduler's own telemetry scope and live-introspection surface: the
 /// latency histograms count every job, a mid-run cancellation lands in
 /// cancel_latency_seconds, and queue_depth/jobs_brief/completed agree with
