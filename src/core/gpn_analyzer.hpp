@@ -106,9 +106,6 @@ class GpnAnalyzer {
   using Context = typename Family::Context;
   using State = GpnState<Family>;
 
-  /// Valid sets mapping() enumerates by default (the guard's seed cap).
-  static constexpr std::size_t kMappingCap = 4096;
-
   GpnAnalyzer(const petri::PetriNet& net, Context& ctx, GpoOptions options = {})
       : net_(net), ctx_(ctx), conflicts_(net), options_(options) {}
 
@@ -224,14 +221,10 @@ class GpnAnalyzer {
 
   /// mapping(<m,r>) (Definition 3.4): the classical markings represented by
   /// this GPN state, one per valid set of the first `max`, duplicates
-  /// collapsed (hashed, first-seen order kept). Sets `*truncated` when r has
-  /// more than `max` valid sets.
+  /// collapsed (hashed, first-seen order kept).
   [[nodiscard]] std::vector<petri::Marking> mapping(
-      const State& s, std::size_t max = kMappingCap,
-      bool* truncated = nullptr) const {
-    std::vector<TransitionSet> valid = s.r.members(max + 1);
-    if (truncated != nullptr) *truncated = valid.size() > max;
-    if (valid.size() > max) valid.pop_back();
+      const State& s, std::size_t max = SIZE_MAX) const {
+    std::vector<TransitionSet> valid = s.r.members(max);
     std::vector<petri::Marking> out;
     util::MarkingTable seen(net_.place_count());
     for (const TransitionSet& v : valid) {
@@ -287,6 +280,9 @@ class GpnAnalyzer {
     /// multiple: the union of all candidate MCSs, fired simultaneously.
     /// single: the transitions fired one-per-branch.
     std::vector<petri::TransitionId> transitions;
+    /// Some single-enabled transition has an empty m_enabled: every scenario
+    /// that marks its preset chose against it (a re-contested conflict).
+    bool recontested = false;
   };
 
   [[nodiscard]] Expansion plan_expansion(
@@ -350,13 +346,15 @@ class GpnAnalyzer {
     return trace;
   }
 
-  /// Delegated classical stubborn-set deadlock search from `roots`, merging
-  /// its verdict into `result`. Used for the fragmentation bail-out (roots =
-  /// {m0}, merge_fireable = true) and the anti-ignoring guard (roots = the
-  /// starving states' mapped markings).
-  void run_delegated(const std::vector<petri::Marking>& roots,
-                     double remaining_seconds, const char* phase,
-                     bool merge_fireable, GpoResult& result) const {
+  /// The classical stubborn-set deadlock search from the initial marking,
+  /// merged into `result`: the one way the engine completes a verdict its
+  /// reduced search cannot vouch for (the fragmentation bail-out and the
+  /// anti-ignoring guard, which differ only in the `phase` a limit
+  /// reports). It is complete for deadlock detection on its own, and its
+  /// trace becomes the counterexample. Runs in a "delegated-search" span.
+  void run_delegated(double remaining_seconds, const char* phase,
+                     GpoResult& result) const {
+    obs::Span span(options_.tracer, "delegated-search");
     por::StubbornOptions sopt;
     sopt.max_states = options_.max_states;
     sopt.max_seconds = remaining_seconds;
@@ -370,15 +368,15 @@ class GpnAnalyzer {
         return m.test(rp);
       };
     }
-    auto delegated = por::StubbornExplorer(net_, sopt).explore_from(roots);
+    auto delegated = por::StubbornExplorer(net_, sopt).explore();
     result.delegated_states = delegated.state_count;
     result.limit_hit |= delegated.limit_hit;
     if (delegated.limit_hit) result.interrupted_phase = phase;
-    if (merge_fireable)
-      result.fireable_transitions |= delegated.fireable_transitions;
+    result.fireable_transitions |= delegated.fireable_transitions;
     if (delegated.deadlock_found && !result.deadlock_found) {
       result.deadlock_found = true;
-      result.deadlock_witness = delegated.first_deadlock;
+      result.deadlock_witness = std::move(delegated.first_deadlock);
+      result.counterexample = std::move(delegated.counterexample);
       result.witness_is_dead = true;
     }
   }
@@ -389,31 +387,35 @@ class GpnAnalyzer {
     util::Bitset fired;
   };
 
-  /// Anti-ignoring guard (the check the paper's footnote elides): in every
-  /// SCC that contains a cycle, a transition single-enabled at one of its
-  /// states but fired on none of its internal edges may be postponed forever.
-  /// The scenarios behind such a transition are beyond the one-choice-per-
-  /// conflict expressiveness of a valid set (a *re-contested* conflict), so
-  /// instead of fragmenting the GPN state space with single firings we
-  /// delegate: run a classical stubborn-set deadlock search from the
-  /// starving states' mapped markings. That search is bounded by the plain
-  /// reachability graph and completes the deadlock verdict soundly.
+  /// Anti-ignoring guard (the check the paper's footnote elides; DESIGN.md
+  /// decision 4). A state is flagged when
+  ///   - it lies in an SCC that contains a cycle, and a transition
+  ///     single-enabled there fires on none of the SCC's internal edges (it
+  ///     may be postponed forever), or
+  ///   - `recontested` holds, in any SCC: a single-enabled transition has an
+  ///     empty m_enabled, so every scenario that marks its preset chose
+  ///     against it (its conflict is contested again, and no valid set can
+  ///     choose differently the second time).
+  /// Either way the reduced graph may miss classical behaviour, and the
+  /// caller delegates to run_delegated(). Counts the flagged states in
+  /// `result.ignoring_expansions` and returns whether any was flagged.
   ///
   /// Inputs are dense arrays over the reduced graph's state indices.
-  void apply_ignoring_guard(const std::vector<State>& states,
-                            const std::vector<ReducedEdge>& edges,
-                            const std::vector<util::Bitset>& enabled_at,
-                            const std::vector<bool>& fully_expanded,
-                            double remaining_seconds, GpoResult& result) const {
+  bool ignoring_suspected(const std::vector<ReducedEdge>& edges,
+                          const std::vector<util::Bitset>& enabled_at,
+                          const std::vector<bool>& fully_expanded,
+                          const std::vector<bool>& recontested,
+                          GpoResult& result) const {
     const std::size_t nt = net_.transition_count();
+    const std::size_t n = enabled_at.size();
     // Tarjan over the reduced graph.
-    std::vector<std::vector<std::size_t>> succs(states.size());
+    std::vector<std::vector<std::size_t>> succs(n);
     for (std::size_t e = 0; e < edges.size(); ++e)
       succs[edges[e].from].push_back(e);
 
-    std::vector<std::size_t> comp(states.size(), SIZE_MAX);
-    std::vector<std::size_t> low(states.size()), num(states.size(), SIZE_MAX);
-    std::vector<bool> on_stack(states.size(), false);
+    std::vector<std::size_t> comp(n, SIZE_MAX);
+    std::vector<std::size_t> low(n), num(n, SIZE_MAX);
+    std::vector<bool> on_stack(n, false);
     std::vector<std::size_t> stack;
     std::size_t counter = 0, comp_count = 0;
     // Iterative Tarjan (explicit frames) to survive deep graphs.
@@ -421,7 +423,7 @@ class GpnAnalyzer {
       std::size_t v;
       std::size_t next_edge;
     };
-    for (std::size_t root = 0; root < states.size(); ++root) {
+    for (std::size_t root = 0; root < n; ++root) {
       if (num[root] != SIZE_MAX) continue;
       std::vector<Frame> call{{root, 0}};
       num[root] = low[root] = counter++;
@@ -467,27 +469,15 @@ class GpnAnalyzer {
         cyclic[comp[e.from]] = true;  // internal edge => cycle (SCC property)
       }
 
-    // Collect the classical markings of every starving state and hand them
-    // to one shared stubborn-set search, which skips a repeated root.
-    std::vector<petri::Marking> roots;
-    for (std::size_t v = 0; v < states.size(); ++v) {
+    std::size_t flagged = 0;
+    for (std::size_t v = 0; v < n; ++v) {
       std::size_t c = comp[v];
-      if (!cyclic[c] || fully_expanded[v]) continue;
-      util::Bitset starving = enabled_at[v] - fired_in[c];
-      if (starving.none()) continue;
-      ++result.ignoring_expansions;
-      bool truncated = false;
-      for (petri::Marking& m : mapping(states[v], kMappingCap, &truncated))
-        roots.push_back(std::move(m));
-      if (truncated) ++result.guard_truncated_states;
+      const bool starving = cyclic[c] && !fully_expanded[v] &&
+                            (enabled_at[v] - fired_in[c]).any();
+      if (starving || recontested[v]) ++flagged;
     }
-    // The delegated search stops at its first deadlock, so the order of its
-    // roots decides its size and witness. Sorting them keeps both independent
-    // of the order in which the family store lists valid sets.
-    std::sort(roots.begin(), roots.end());
-    if (!roots.empty())
-      run_delegated(roots, remaining_seconds, "ignoring-guard",
-                    /*merge_fireable=*/false, result);
+    result.ignoring_expansions += flagged;
+    return flagged > 0;
   }
 
   [[nodiscard]] GpoResult explore() const;
@@ -532,11 +522,14 @@ auto GpnAnalyzer<Family>::plan_expansion(
   // Dynamic maximal conflicting sets: connected components of the conflict
   // graph restricted to the *multiple-enabled* transitions. A transition
   // that is single- but not multiple-enabled (every common history committed
-  // its tokens to a competitor) is postponed — its scenarios keep their
-  // tokens in place, so nothing is lost by leaving it out.
+  // its tokens to a competitor) is postponed, and its scenarios keep their
+  // tokens in place. Such a transition marks a re-contested conflict, which
+  // the plan reports for the anti-ignoring guard.
   util::Bitset m_bits(nt);
   for (petri::TransitionId t : single_enabled)
     if (!m_enabled(t, s).is_empty()) m_bits.set(t);
+  Expansion plan;
+  plan.recontested = m_bits.count() != single_enabled.size();
   std::vector<std::vector<petri::TransitionId>> dyn_components;
   {
     util::Bitset seen(nt);
@@ -591,7 +584,6 @@ auto GpnAnalyzer<Family>::plan_expansion(
     if (ok) candidates.push_back(c);
   }
 
-  Expansion plan;
   if (!candidates.empty()) {
     plan.multiple = true;
     for (std::size_t c : candidates)
@@ -659,11 +651,13 @@ GpoResult GpnAnalyzer<Family>::explore() const {
 
   std::unordered_map<State, std::size_t, StateHash> index;
   std::vector<State> states;
-  // Bookkeeping for the anti-ignoring fixpoint: the single-enabled set of
-  // each state, the reduced graph's edges with the set of transitions each
-  // fired, and whether a state has already been fully expanded.
+  // Bookkeeping for the anti-ignoring guard: the single-enabled set of each
+  // state, the reduced graph's edges with the set of transitions each fired,
+  // whether a state has been fully expanded, and whether its plan saw a
+  // re-contested conflict.
   std::vector<util::Bitset> enabled_at;
   std::vector<bool> fully_expanded;
+  std::vector<bool> recontested;
   std::vector<ReducedEdge> edges;
   // Discovery breadcrumbs for counterexample reconstruction.
   struct Breadcrumb {
@@ -680,6 +674,7 @@ GpoResult GpnAnalyzer<Family>::explore() const {
       states.push_back(it->first);
       enabled_at.emplace_back(nt);
       fully_expanded.push_back(false);
+      recontested.push_back(false);
       breadcrumbs.push_back(pending_crumb);
       if (live_states != nullptr) live_states->add();
     }
@@ -774,6 +769,7 @@ GpoResult GpnAnalyzer<Family>::explore() const {
         obs::ScopedTimer st(mcs_timer);
         return plan_expansion(s, single_enabled);
       }();
+      recontested[si] = plan.recontested;
 
       auto emit = [&](State&& next, const util::Bitset& fired,
                       const std::string& label) {
@@ -824,24 +820,20 @@ GpoResult GpnAnalyzer<Family>::explore() const {
     run_bfs();
   }
 
-  // Fragmentation bail-out: the reduced search grew past the configured
-  // threshold, which on re-contested cyclic nets means the scenario
-  // families fragment beyond the classical graph. Concede and finish the
-  // verdict with one classical stubborn-set search from the initial
-  // marking (complete for deadlock detection on its own).
-  if (result.bailed_to_classical && !stopped) {
-    obs::Span span(options_.tracer, "delegated-search");
-    run_delegated({net_.initial_marking()},
-                  options_.max_seconds - timer.elapsed_seconds(),
-                  "delegated-search", /*merge_fireable=*/true, result);
-  }
-
-  if (options_.ignoring_guard && !stopped && !result.limit_hit &&
-      !result.bailed_to_classical) {
+  // A verdict the reduced search cannot vouch for is finished by one
+  // classical stubborn-set search from the initial marking, either because
+  // the search grew past the fragmentation threshold (re-contested cyclic
+  // nets fragment the scenario families beyond the classical graph), or
+  // because, with no deadlock found, the anti-ignoring guard flags a state.
+  if (result.bailed_to_classical) {
+    run_delegated(options_.max_seconds - timer.elapsed_seconds(),
+                  "delegated-search", result);
+  } else if (!result.limit_hit && !result.deadlock_found) {
     obs::Span span(options_.tracer, "ignoring-guard");
-    apply_ignoring_guard(states, edges, enabled_at, fully_expanded,
-                         options_.max_seconds - timer.elapsed_seconds(),
-                         result);
+    if (ignoring_suspected(edges, enabled_at, fully_expanded, recontested,
+                           result))
+      run_delegated(options_.max_seconds - timer.elapsed_seconds(),
+                    "ignoring-guard", result);
   }
 
   result.state_count = states.size();

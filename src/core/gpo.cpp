@@ -13,8 +13,6 @@ void publish_gpo_stats(obs::MetricsRegistry& reg, std::string_view prefix,
   reg.counter(p + "single_steps").store(result.single_steps);
   reg.counter(p + "ignoring_expansions").store(result.ignoring_expansions);
   reg.counter(p + "delegated_states").store(result.delegated_states);
-  reg.counter(p + "guard_truncated_states")
-      .store(result.guard_truncated_states);
   reg.gauge(p + "bailed_to_classical")
       .set(result.bailed_to_classical ? 1.0 : 0.0);
   reg.timer(p + "seconds")

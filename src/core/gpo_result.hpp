@@ -41,22 +41,12 @@ struct GpoOptions {
   std::size_t max_states = std::numeric_limits<std::size_t>::max();
   double max_seconds = std::numeric_limits<double>::infinity();
   /// Cooperative cancellation; polled in the reduced search and forwarded to
-  /// the delegated classical searches. A fired token reports as limit_hit
+  /// the delegated classical search. A fired token reports as limit_hit
   /// with the phase it interrupted, like a timeout.
   const util::CancelToken* cancel = nullptr;
   bool stop_at_first_deadlock = false;
   /// Record the GPN state graph (labels summarize markings); small nets only.
   bool build_graph = false;
-  /// Guard against the ignoring problem — the check the paper's algorithm
-  /// elides in its footnote ("the firing of an enabled transition is not
-  /// postponed forever"). After the reduced search, every cyclic SCC of the
-  /// GPN graph is checked: a single-enabled transition of one of its states
-  /// that never fires inside the SCC is starved, and the starving states are
-  /// re-expanded with plain single firing until a fixpoint. Without the
-  /// guard the analysis can follow one livelock loop forever and miss
-  /// deadlocks reachable through the postponed transitions. Default on;
-  /// turning it off reproduces the rawest reduction numbers.
-  bool ignoring_guard = true;
   /// Fragmentation bail-out: scenario tracking pays off only while GPN
   /// states stay coarser than classical markings. On heavily re-contested
   /// cyclic nets (conflicts resolved differently on every revolution) the
@@ -76,9 +66,11 @@ struct GpoOptions {
   /// final counters under `metrics_prefix` before returning.
   obs::MetricsRegistry* metrics = nullptr;
   std::string metrics_prefix = "gpo.";
-  /// Optional phase tracer: the engine opens "reduced-search",
-  /// "delegated-search" and "ignoring-guard" spans so the phase tree (and a
-  /// timeout's interrupted-phase diagnostic) show where the time went.
+  /// Optional phase tracer: the engine opens "reduced-search" and
+  /// "ignoring-guard" spans, and a "delegated-search" span around the
+  /// classical search (nested in "ignoring-guard" when the guard starts it),
+  /// so the phase tree (and a timeout's interrupted-phase diagnostic) show
+  /// where the time went.
   obs::Tracer* tracer = nullptr;
   /// Family storage backend (ignored by FamilyKind::kBdd, which is its own
   /// representation). kZdd stores every canonical family as one
@@ -145,34 +137,34 @@ struct GpoResult {
   /// single-firing fallback.
   std::size_t multiple_steps = 0;
   std::size_t single_steps = 0;
-  /// GPN states flagged by the anti-ignoring guard (see
-  /// GpoOptions::ignoring_guard) and the number of classical markings the
-  /// delegated stubborn-set search visited on their behalf.
+  /// GPN states of cyclic SCCs that the anti-ignoring guard flagged: a
+  /// single-enabled transition there is starved (fired on no edge inside the
+  /// SCC) or re-contested (its m_enabled is empty). The guard runs only when
+  /// the reduced search found no deadlock, and any flag delegates.
   std::size_t ignoring_expansions = 0;
+  /// Markings the delegated stubborn-set search from m0 visited (guard or
+  /// bail-out); 0 when nothing was delegated.
   std::size_t delegated_states = 0;
-  /// Flagged states that had more valid sets than mapping() enumerates, so
-  /// only part of their markings seeded the delegated search. Which part
-  /// depends on the order the family store lists valid sets in.
-  std::size_t guard_truncated_states = 0;
   /// The fragmentation bail-out fired (GpoOptions::delegate_after_states):
-  /// the verdict was completed by a classical stubborn-set search.
+  /// the verdict was completed by the delegated search.
   bool bailed_to_classical = false;
 
   bool deadlock_found = false;
   /// Classical dead marking extracted from a valid set with no enabled
   /// transition (the paper's deadlock characterization).
   std::optional<petri::Marking> deadlock_witness;
-  /// A classical firing sequence from the initial marking into the witness,
-  /// reconstructed by replaying the dead scenario along the GPN discovery
-  /// path. Empty when the deadlock was found by a delegated classical
-  /// search (whose roots are mapped markings, not the initial one).
+  /// A classical firing sequence from the initial marking into the witness:
+  /// the dead scenario replayed along the GPN discovery path, or the trace
+  /// of the delegated search (which also starts at the initial marking).
+  /// Empty only when the initial marking itself is the witness.
   std::vector<petri::TransitionId> counterexample;
   /// The witness re-checked against the classical enabling rule — must always
   /// hold; kept as a self-diagnostic.
   bool witness_is_dead = false;
 
   /// Transitions single-enabled in at least one explored GPN state, i.e.
-  /// enabled at some covered classical marking. A sound *lower bound* on the
+  /// enabled at some covered classical marking, plus those the delegated
+  /// search fired when it ran. A sound *lower bound* on the
   /// fireable transitions: membership certifies quasi-liveness, but the
   /// reduction may skip markings where further transitions were enabled, so
   /// the complement only suggests (not proves) dead transitions — use the

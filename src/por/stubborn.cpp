@@ -173,14 +173,9 @@ StubbornExplorer::StubbornExplorer(const petri::PetriNet& net,
     : net_(net), conflicts_(net), options_(options) {}
 
 reach::ExplorerResult StubbornExplorer::explore() const {
-  return explore_from({net_.initial_marking()});
-}
-
-reach::ExplorerResult StubbornExplorer::explore_from(
-    const std::vector<Marking>& roots) const {
   StubbornClosure closure(net_, conflicts_);
   return reach::breadth_first_search(
-      net_, roots, options_, "reduced-search",
+      net_, {net_.initial_marking()}, options_, "reduced-search",
       [this, &closure](const Marking& m,
                        const std::vector<TransitionId>& enabled)
           -> const std::vector<TransitionId>& {

@@ -65,13 +65,6 @@ class StubbornExplorer {
 
   [[nodiscard]] reach::ExplorerResult explore() const;
 
-  /// Same search, but started from the given markings instead of the net's
-  /// initial marking (used by the GPO engine's anti-ignoring delegation).
-  /// Counterexample traces are relative to whichever root reached the
-  /// deadlock first.
-  [[nodiscard]] reach::ExplorerResult explore_from(
-      const std::vector<petri::Marking>& roots) const;
-
  private:
   const petri::PetriNet& net_;
   petri::ConflictInfo conflicts_;

@@ -4,11 +4,20 @@
 // 1-safe nets. This is the property suite DESIGN.md commits to.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iostream>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "bdd/symbolic_reach.hpp"
 #include "core/gpo.hpp"
+#include "engine/engine.hpp"
 #include "models/models.hpp"
 #include "por/stubborn.hpp"
 #include "reach/explorer.hpp"
+#include "reduce/reduce.hpp"
 
 namespace gpo {
 namespace {
@@ -73,63 +82,92 @@ TEST(CrossEngine, BenchmarkModelsAgree) {
   expect_agreement(models::make_fig7());
 }
 
+/// Differential fuzz against `full`: random 1-safe nets of 2-12 machines,
+/// from fixed seeds, through engine::run for every engine, and gpo and
+/// gpo-intern also on the explicit family stores. Every conclusive run must
+/// give full's verdict, bdd full's state count, the GPO runs one GPN state
+/// count, and every deadlock of full, por and gpo* a trace that replays into
+/// a dead marking.
 class RandomAgreement : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(RandomAgreement, AllEnginesMatchGroundTruth) {
-  std::uint64_t base = GetParam();
-  for (std::uint64_t seed = base; seed < base + 25; ++seed) {
+  constexpr std::uint64_t kNets = 100;
+  struct Run {
+    std::string engine;
+    std::optional<core::FamilyStore> store;  // nullopt: the request default
+  };
+  std::vector<Run> runs;
+  for (const std::string& e : engine::names())
+    if (e != "full") runs.push_back({e, std::nullopt});
+  runs.push_back({"gpo", core::FamilyStore::kExplicit});
+  runs.push_back({"gpo-intern", core::FamilyStore::kExplicit});
+
+  std::size_t compared = 0, deadlocks = 0;
+  const std::uint64_t base = GetParam();
+  for (std::uint64_t seed = base; seed < base + kNets; ++seed) {
     models::RandomNetParams p;
-    p.machines = 2 + seed % 3;
-    p.states_per_machine = 2 + seed % 4;
-    p.transitions = 4 + seed % 14;
-    p.sync_percent = 25 + (seed * 11) % 70;
+    p.machines = 2 + seed % 11;
+    p.states_per_machine = 2 + (seed / 11) % 3;
+    p.transitions = p.machines + (seed * 7) % (2 * p.machines + 1);
+    p.sync_percent = static_cast<std::uint32_t>(20 + (seed * 13) % 75);
     p.seed = seed;
-    PetriNet net = models::make_random_net(p);
+    const PetriNet net = models::make_random_net(p);
+    const std::string net_name = "seed=" + std::to_string(seed) +
+                                 " machines=" + std::to_string(p.machines);
 
-    reach::ExplorerOptions eo;
-    eo.max_states = 300000;
-    auto ground = reach::ExplicitExplorer(net, eo).explore();
-    if (ground.limit_hit || ground.safeness_violation) continue;
-
-    auto por_r = por::StubbornExplorer(net).explore();
-    EXPECT_EQ(por_r.deadlock_found, ground.deadlock_found)
-        << "POR seed=" << seed;
-
-    core::GpoOptions go;
-    go.max_states = 500000;
-    go.max_seconds = 30;
-    auto ge = core::run_gpo(net, core::FamilyKind::kExplicit, go);
-    if (!ge.limit_hit) {
-      EXPECT_EQ(ge.deadlock_found, ground.deadlock_found)
-          << "GPO-explicit seed=" << seed;
-      if (ge.deadlock_found) {
-        EXPECT_TRUE(ge.witness_is_dead) << seed;
+    engine::EngineRequest req;
+    req.max_states = 200'000;
+    req.max_seconds = 5;
+    const engine::EngineOutcome truth = engine::run("full", net, req);
+    EXPECT_FALSE(truth.unsafe_net) << net_name;
+    if (!truth.conclusive) {
+      std::cout << "skipped " << net_name << ": full " << truth.verdict
+                << "\n";
+      continue;
+    }
+    bool all_conclusive = true;
+    double gpn_states = -1;
+    for (const Run& r : runs) {
+      const std::string where =
+          net_name + " " + r.engine + (r.store ? " (explicit store)" : "");
+      engine::EngineRequest rr = req;
+      if (r.store) rr.family_store = *r.store;
+      engine::EngineOutcome out;
+      try {
+        out = engine::run(r.engine, net, rr);
+      } catch (const std::length_error&) {
+        out.verdict = "past the explicit r0 cap";
       }
-    }
-    auto gi = core::run_gpo(net, core::FamilyKind::kInterned, go);
-    if (!gi.limit_hit) {
-      EXPECT_EQ(gi.deadlock_found, ground.deadlock_found)
-          << "GPO-interned seed=" << seed;
-      if (!ge.limit_hit) {
-        EXPECT_EQ(gi.state_count, ge.state_count)
-            << "GPO-interned seed=" << seed;
+      if (!out.conclusive) {
+        std::cout << "skipped " << where << ": " << out.verdict << "\n";
+        all_conclusive = false;
+        continue;
       }
+      EXPECT_EQ(out.deadlock, truth.deadlock) << where;
+      if (r.engine == "bdd") {
+        EXPECT_EQ(out.states, truth.states) << where;
+      }
+      if (r.engine.starts_with("gpo")) {
+        if (gpn_states < 0) gpn_states = out.states;
+        EXPECT_EQ(out.states, gpn_states) << where;
+      }
+      if (out.witness.has_value()) {
+        EXPECT_TRUE(net.is_deadlocked(*out.witness)) << where;
+      }
+      if (!out.deadlock || r.engine == "bdd" || r.engine == "unfold") continue;
+      std::optional<petri::Marking> end =
+          reduce::replay_trace(net, out.counterexample);
+      ASSERT_TRUE(end.has_value()) << where;
+      EXPECT_TRUE(net.is_deadlocked(*end)) << where;
     }
-
-    auto gb = core::run_gpo(net, core::FamilyKind::kBdd, go);
-    if (!gb.limit_hit) {
-      EXPECT_EQ(gb.deadlock_found, ground.deadlock_found)
-          << "GPO-bdd seed=" << seed;
-    }
-
-    auto sym = bdd::SymbolicReachability(net).analyze();
-    if (!sym.blowup) {
-      EXPECT_EQ(sym.deadlock_found, ground.deadlock_found)
-          << "symbolic seed=" << seed;
-      EXPECT_EQ(sym.state_count, static_cast<double>(ground.state_count))
-          << "symbolic seed=" << seed;
-    }
+    if (!all_conclusive) continue;
+    ++compared;
+    if (truth.deadlock) ++deadlocks;
   }
+  std::cout << "random agreement from seed " << base << ": " << compared
+            << " of " << kNets << " nets compared on every run, " << deadlocks
+            << " with a deadlock\n";
+  EXPECT_GE(compared * 10, kNets * 9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomAgreement,

@@ -1,8 +1,8 @@
 // Store-parity fuzz: `engine::run("gpo")` on its default family store (zdd)
 // must agree with the same call on the explicit store — same verdict, GPN
 // state count and delegated-search size — on random 1-safe nets of 2-12
-// machines, and every counterexample either store reports must replay into a
-// dead marking. This checks store agreement only; agreement with `full` is
+// machines, and every deadlock either store reports must carry a
+// counterexample that replays into a dead marking. This checks store agreement only; agreement with `full` is
 // the cross-engine suite's business.
 #include <gtest/gtest.h>
 
@@ -24,7 +24,6 @@ using petri::PetriNet;
 struct StoreRun {
   engine::EngineOutcome out;
   std::uint64_t delegated_states = 0;
-  std::uint64_t guard_truncated = 0;  // states whose guard seeds were capped
   bool zdd_counters = false;  // the run published zdd.* kernel counters
   bool r0_cap = false;        // the explicit store refused the net's r0
 };
@@ -46,37 +45,30 @@ StoreRun run_store(const PetriNet& net,
   }
   run.delegated_states =
       metrics.counter("engine.gpo.delegated_states").value();
-  run.guard_truncated =
-      metrics.counter("engine.gpo.guard_truncated_states").value();
   run.zdd_counters = !metrics.snapshot("engine.gpo.zdd.").empty();
   return run;
 }
 
 /// Replays a deadlock verdict's counterexample into a dead marking (the
-/// witness, when one is reported). Returns false when the run gave none: a
-/// deadlock the guard's delegated search found comes without one.
-bool expect_replays(const PetriNet& net, const engine::EngineOutcome& out,
+/// witness, when one is reported). The trace is empty only when the initial
+/// marking itself is dead.
+void expect_replays(const PetriNet& net, const engine::EngineOutcome& out,
                     const std::string& store) {
-  const petri::Marking m0 = net.initial_marking();
-  if (out.counterexample.empty() && !net.is_deadlocked(m0)) return false;
   SCOPED_TRACE(store);
-  petri::Marking m = m0;
+  petri::Marking m = net.initial_marking();
   for (petri::TransitionId t : out.counterexample) {
-    EXPECT_TRUE(net.enabled(t, m)) << "t" << t;
-    if (!net.enabled(t, m)) return true;
+    ASSERT_TRUE(net.enabled(t, m)) << "t" << t;
     m = net.fire(t, m);
   }
   EXPECT_TRUE(net.is_deadlocked(m));
   if (out.witness) {
     EXPECT_EQ(m, *out.witness);
   }
-  return true;
 }
 
 TEST(StoreParityFuzz, DefaultZddMatchesExplicitStore) {
   constexpr std::uint64_t kFirstSeed = 9000, kNets = 330;
-  std::size_t compared = 0, r0_cap = 0, limit = 0, truncated = 0,
-              deadlocks = 0, replayed = 0;
+  std::size_t compared = 0, r0_cap = 0, limit = 0, deadlocks = 0;
   for (std::uint64_t seed = kFirstSeed; seed < kFirstSeed + kNets; ++seed) {
     models::RandomNetParams p;
     p.machines = 2 + seed % 11;
@@ -104,25 +96,17 @@ TEST(StoreParityFuzz, DefaultZddMatchesExplicitStore) {
     ++compared;
     EXPECT_EQ(zdd.out.verdict, expl.out.verdict);
     EXPECT_EQ(zdd.out.states, expl.out.states);
-    // mapping() caps the valid sets it seeds the guard with, and which ones
-    // it keeps follows the store's member order; only uncapped seeds are
-    // the same set on both stores.
-    EXPECT_EQ(zdd.guard_truncated, expl.guard_truncated);
-    if (zdd.guard_truncated + expl.guard_truncated > 0)
-      ++truncated;
-    else
-      EXPECT_EQ(zdd.delegated_states, expl.delegated_states);
+    // Both stores delegate the same search from m0, or none.
+    EXPECT_EQ(zdd.delegated_states, expl.delegated_states);
     if (!zdd.out.deadlock) continue;
     ++deadlocks;
-    const bool zdd_cex = expect_replays(net, zdd.out, "zdd");
-    EXPECT_EQ(zdd_cex, expect_replays(net, expl.out, "explicit"));
-    replayed += zdd_cex ? 1 : 0;
+    expect_replays(net, zdd.out, "zdd");
+    expect_replays(net, expl.out, "explicit");
   }
   std::cout << "store parity: " << compared << " of " << kNets
-            << " nets compared, " << deadlocks << " with a deadlock ("
-            << replayed << " with a counterexample, replayed), " << r0_cap
-            << " past the explicit r0 cap, " << limit << " hit a limit, "
-            << truncated << " with capped guard seeds\n";
+            << " nets compared, " << deadlocks
+            << " with a deadlock (every counterexample replayed), " << r0_cap
+            << " past the explicit r0 cap, " << limit << " hit a limit\n";
   // Skipped nets are reported above; most of the corpus must be compared.
   EXPECT_GE(compared * 10, kNets * 9);
 }

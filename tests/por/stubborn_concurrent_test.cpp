@@ -33,7 +33,7 @@ TEST(StubbornExplorerConcurrency, TwoExplorersOnOneNet) {
 }
 
 TEST(StubbornExplorerConcurrency, OneExplorerFromTwoThreads) {
-  // explore_from is const and keeps its scratch in its own frame, so one
+  // explore is const and keeps its scratch in its own frame, so one
   // explorer may serve two searches at once.
   const petri::PetriNet net = models::make_slotted_ring(4);
   const StubbornExplorer explorer(net);

@@ -134,27 +134,6 @@ TEST(StubbornExplorer, CounterexampleReplays) {
   EXPECT_TRUE(net.is_deadlocked(m));
 }
 
-TEST(StubbornExplorer, ExploreFromCustomRoots) {
-  PetriNet net = models::make_nsdp(2);
-  // Root: the all-left deadlock marking itself -> found immediately.
-  Marking dead(net.place_count());
-  dead.set(net.find_place("hasL_0"));
-  dead.set(net.find_place("hasL_1"));
-  StubbornOptions so;
-  auto result = StubbornExplorer(net, so).explore_from({dead});
-  EXPECT_TRUE(result.deadlock_found);
-  EXPECT_EQ(result.counterexample.size(), 0u);
-  EXPECT_EQ(*result.first_deadlock, dead);
-}
-
-TEST(StubbornExplorer, ExploreFromMultipleRootsDeduplicates) {
-  PetriNet net = models::make_diamond(2);
-  Marking m0 = net.initial_marking();
-  auto one = StubbornExplorer(net).explore_from({m0});
-  auto twice = StubbornExplorer(net).explore_from({m0, m0});
-  EXPECT_EQ(one.state_count, twice.state_count);
-}
-
 TEST(StubbornExplorer, PublishesTheExhaustiveEnginesAccounting) {
   // A single token on a cycle: every stubborn set is the one enabled
   // transition, so both engines do the same search and must report the same
