@@ -128,8 +128,8 @@ int main(int argc, char** argv) {
     } else if (!std::strcmp(argv[i], "--report")) {
       report_path = flag_value(argc, argv, i);
     } else if (!std::strcmp(argv[i], "--threads")) {
-      threads = gpo::util::parse_flag_number<std::size_t>(
-          "--threads", flag_value(argc, argv, i));
+      threads =
+          gpo::util::parse_thread_count("--threads", flag_value(argc, argv, i));
       if (threads == 0) threads = 1;
     } else if (!std::strcmp(argv[i], "--reduce")) {
       auto level = gpo::reduce::parse_reduce_level(flag_value(argc, argv, i));

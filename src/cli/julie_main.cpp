@@ -97,7 +97,8 @@ int usage(const char* argv0) {
       << "  --threads N        worker threads for the exhaustive engine\n"
       << "                     (full, also under --engine all and\n"
       << "                     --liveness); the result, counterexample\n"
-      << "                     included, does not depend on N (default 1)\n"
+      << "                     included, does not depend on N (default 1,\n"
+      << "                     at most 256)\n"
       << "  --stats            print per-engine telemetry counters on stderr\n"
       << "                     (states/sec, peak frontier, interner dedup,\n"
       << "                     op-cache hit rate)\n"
@@ -300,7 +301,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--max-seconds") {
       max_seconds = gpo::util::parse_flag_number<double>(arg, next());
     } else if (arg == "--threads") {
-      num_threads = gpo::util::parse_flag_number<std::size_t>(arg, next());
+      num_threads = gpo::util::parse_thread_count(arg, next());
       if (num_threads == 0) num_threads = 1;
     } else if (arg == "--stats") {
       want_stats = true;

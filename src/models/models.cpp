@@ -353,27 +353,34 @@ namespace {
 struct Family {
   std::string_view name;
   PetriNet (*make)(std::size_t n);
-  /// Largest accepted size; 0 for the fixed figure nets, which ignore it.
+  /// Smallest and largest accepted size; both 0 for the fixed figure nets,
+  /// which ignore the size.
+  std::size_t min_size;
   std::size_t max_size;
+  /// Only powers of two are accepted (asat's binary arbiter tree).
+  bool power_of_two = false;
 };
 
-// Each bound keeps the family's net within about 2^15 places + transitions +
-// arcs (rw has n^2 arcs, the others grow linearly): far above every size the
-// tests, benchmarks and docs use, and small enough that the net and its
-// |T|^2-bit conflict relation build in moments. A larger size is an input
-// error, not a long wait or std::bad_alloc.
+// The lower bounds are the builders' own (make_nsdp and the others throw
+// below them), checked here so that a spec is accepted or rejected without
+// building its net. Each upper bound keeps the family's net within about
+// 2^15 places + transitions + arcs (rw has n^2 arcs, the others grow
+// linearly): far above every size the tests, benchmarks and docs use, and
+// small enough that the net and its |T|^2-bit conflict relation build in
+// moments. A larger size is an input error, not a long wait or
+// std::bad_alloc.
 constexpr Family kFamilies[] = {
-    {"nsdp", make_nsdp, 1260},
-    {"asat", make_arbiter_tree, 512},
-    {"over", make_overtake, 936},
-    {"rw", make_readers_writers, 123},
-    {"diamond", make_diamond, 6553},
-    {"chain", make_conflict_chain, 3640},
-    {"cyclic", make_cyclic_scheduler, 2978},
-    {"ring", make_slotted_ring, 1213},
-    {"fig3", [](std::size_t) { return make_fig3(); }, 0},
-    {"fig5", [](std::size_t) { return make_fig5(); }, 0},
-    {"fig7", [](std::size_t) { return make_fig7(); }, 0},
+    {"nsdp", make_nsdp, 2, 1260},
+    {"asat", make_arbiter_tree, 2, 512, /*power_of_two=*/true},
+    {"over", make_overtake, 2, 936},
+    {"rw", make_readers_writers, 1, 123},
+    {"diamond", make_diamond, 1, 6553},
+    {"chain", make_conflict_chain, 1, 3640},
+    {"cyclic", make_cyclic_scheduler, 2, 2978},
+    {"ring", make_slotted_ring, 2, 1213},
+    {"fig3", [](std::size_t) { return make_fig3(); }, 0, 0},
+    {"fig5", [](std::size_t) { return make_fig5(); }, 0, 0},
+    {"fig7", [](std::size_t) { return make_fig7(); }, 0, 0},
 };
 
 const Family* find_family(std::string_view name) {
@@ -382,9 +389,9 @@ const Family* find_family(std::string_view name) {
   return nullptr;
 }
 
-}  // namespace
-
-std::size_t spec_size(const std::string& spec) {
+/// The size after the ':', 0 when there is none; throws unless it is a
+/// positive decimal.
+std::size_t parse_size(const std::string& spec) {
   auto colon = spec.find(':');
   if (colon == std::string::npos) return 0;
   auto n = util::parse_number<std::size_t>(
@@ -392,18 +399,40 @@ std::size_t spec_size(const std::string& spec) {
   if (!n || *n == 0)
     throw std::invalid_argument("model '" + spec +
                                 "': size must be a positive decimal");
-  const Family* family = find_family(std::string_view(spec).substr(0, colon));
-  if (family != nullptr && family->max_size != 0 && *n > family->max_size)
-    throw std::invalid_argument("model '" + spec + "': size too large (" +
-                                std::string(family->name) + " allows at most " +
-                                std::to_string(family->max_size) + ")");
   return *n;
 }
 
+/// Throws unless `family` builds a net of size `n`.
+void check_size(const Family& family, std::size_t n, const std::string& spec) {
+  if (family.max_size == 0) return;
+  const std::string name(family.name);
+  if (n < family.min_size || (family.power_of_two && (n & (n - 1)) != 0))
+    throw std::invalid_argument(
+        "model '" + spec + "': " + name + " needs a " +
+        (family.power_of_two ? "power-of-two " : "") + "size >= " +
+        std::to_string(family.min_size));
+  if (n > family.max_size)
+    throw std::invalid_argument("model '" + spec + "': size too large (" +
+                                name + " allows at most " +
+                                std::to_string(family.max_size) + ")");
+}
+
+}  // namespace
+
+std::size_t spec_size(const std::string& spec) {
+  std::size_t n = parse_size(spec);
+  const Family* family = find_family(spec.substr(0, spec.find(':')));
+  if (family == nullptr)
+    throw std::invalid_argument("unknown model '" + spec + "'");
+  check_size(*family, n, spec);
+  return n;
+}
+
 std::optional<petri::PetriNet> make_by_spec(const std::string& spec) {
-  std::size_t n = spec_size(spec);
+  std::size_t n = parse_size(spec);
   const Family* family = find_family(spec.substr(0, spec.find(':')));
   if (family == nullptr) return std::nullopt;
+  check_size(*family, n, spec);
   return family->make(n);
 }
 

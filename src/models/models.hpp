@@ -90,16 +90,19 @@ struct RandomNetParams {
 /// shared lookup behind `julie --model`, batch manifests and the server's
 /// CHECK command. Names: nsdp, asat, over, rw, diamond, chain, cyclic, ring,
 /// fig3, fig5, fig7. Returns std::nullopt for an unknown name; throws
-/// std::invalid_argument on a malformed size (see spec_size) or one the
-/// family rejects.
+/// std::invalid_argument on a malformed size or one the family rejects (see
+/// spec_size).
 [[nodiscard]] std::optional<petri::PetriNet> make_by_spec(
     const std::string& spec);
 
 /// The size of a "name:size" spec, 0 when there is no ':'. Throws
-/// std::invalid_argument unless the size is a positive decimal, and when it
-/// exceeds the named family's bound (nsdp:1260, rw:123, ...: a net of about
-/// 2^15 places, transitions and arcs). Cheap, so the server checks every
-/// CHECK line with it before accepting the job.
+/// std::invalid_argument unless the name is a known family, the size is a
+/// positive decimal, and the family builds a net of that size: nsdp, over,
+/// cyclic and ring need >= 2, rw, diamond and chain >= 1, asat a power of
+/// two >= 2, and each has an upper bound (nsdp:1260, rw:123, ...: a net of
+/// about 2^15 places, transitions and arcs). The figure nets ignore the
+/// size. Cheap, and builds nothing, so manifests and the server check every
+/// job line with it before accepting the job.
 [[nodiscard]] std::size_t spec_size(const std::string& spec);
 
 }  // namespace gpo::models

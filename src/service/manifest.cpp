@@ -47,8 +47,10 @@ JobSpec parse_job_line(const std::string& line, std::size_t line_no) {
   JobSpec spec;
   spec.line = line_no;
   if (!(in >> spec.model)) fail(line_no, "missing model");
-  // A built-in spec's size is checked here, so a malformed one is a parse
-  // error (ERR on serve) rather than a failed job; net files load later.
+  // A built-in spec's name and size are checked here, without building the
+  // net, so an unknown family or a size it rejects is a parse error (ERR on
+  // serve, exit 2 for a manifest) rather than a failed job; net files load
+  // later.
   if (!spec.model.ends_with(".net") && !spec.model.ends_with(".pnml")) {
     try {
       (void)models::spec_size(spec.model);

@@ -1,6 +1,5 @@
 #include "service/server.hpp"
 
-#include <atomic>
 #include <iostream>
 #include <istream>
 #include <memory>
@@ -127,14 +126,12 @@ json::Value health_json(const PortfolioScheduler& sch) {
 std::size_t serve(std::istream& in, std::ostream& out,
                   const ServerOptions& options) {
   std::mutex out_mu;
-  std::atomic<std::size_t> completed{0};
 
   SchedulerOptions sched;
   sched.pool_threads = options.pool_threads;
   sched.registry = options.registry;
   sched.events = options.events;
   sched.on_complete = [&](const JobResult& r) {
-    completed.fetch_add(1, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(out_mu);
     out << format_verdict(r) << '\n' << std::flush;
   };
@@ -207,7 +204,7 @@ std::size_t serve(std::istream& in, std::ostream& out,
   }
 
   scheduler.wait_all();
-  std::size_t n = completed.load(std::memory_order_relaxed);
+  const std::size_t n = scheduler.completed();
   {
     std::lock_guard<std::mutex> lock(out_mu);
     out << "BYE " << n << '\n' << std::flush;

@@ -7,7 +7,9 @@
 //
 //   client -> server
 //     CHECK <model> [engines=E1,E2,..] [max-seconds=S] [max-states=N]
-//                   [expect=V]          # same grammar as a manifest line
+//                   [expect=V]          # same grammar as a manifest line;
+//                                       # a built-in spec its family cannot
+//                                       # build (asat:3, foo:3) is an ERR
 //     STATS                             # live metrics snapshot
 //     JOBS                              # per-job live state
 //     HEALTH                            # liveness probe
@@ -26,6 +28,13 @@
 //     JOBS <one-line JSON array>                   # [{id,model,state,...}]
 //     HEALTH <one-line JSON>                       # {"status":"ok",...}
 //     BYE <jobs-completed>                         # once, after QUIT / EOF
+//
+// A finished job keeps only its verdict record (id, model, verdict, winner,
+// error, expect match, seconds, cancel latency): the VERDICT line is printed
+// from the full result in the scheduler's on_complete, after which the net,
+// the job's metrics registry and the racer outcomes are freed. JOBS lists
+// every job of the session, finished ones from their records, so the
+// server's memory grows by a few hundred bytes per job served.
 //
 // STATS/JOBS/HEALTH are answered inline by the serving thread from the
 // scheduler's introspection surface (relaxed atomics + leaf locks), so they

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <charconv>
+#include <cstddef>
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
@@ -41,6 +42,25 @@ template <typename T>
     std::exit(2);
   }
   return *n;
+}
+
+/// The most threads any flag may ask for (`--threads`, `--pool-threads`).
+/// Far above the core counts this code runs on, and small enough that the
+/// per-thread queues and slices sized from the count cost nothing.
+inline constexpr std::size_t kMaxThreads = 256;
+
+/// parse_flag_number for a thread count: a count above kMaxThreads is a
+/// usage error as well (stderr, exit code 2), caught before anything is
+/// sized from it.
+[[nodiscard]] inline std::size_t parse_thread_count(std::string_view flag,
+                                                    std::string_view value) {
+  const auto n = parse_flag_number<std::size_t>(flag, value);
+  if (n > kMaxThreads) {
+    std::cerr << flag << " allows at most " << kMaxThreads
+              << " threads, got " << value << "\n";
+    std::exit(2);
+  }
+  return n;
 }
 
 /// The value of the flag at argv[i], advancing i past it: a flag given last,

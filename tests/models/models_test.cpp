@@ -84,6 +84,21 @@ TEST(Models, SpecSizeIsBoundedPerFamily) {
   EXPECT_EQ(spec_size("fig7:99999999"), 99999999u);  // fixed nets ignore it
 }
 
+TEST(Models, SpecSizeFollowsEachFamilysRule) {
+  // The builders' lower bounds, checked without building anything; and an
+  // unknown family is an error for spec_size (make_by_spec says nullopt).
+  for (const char* bad : {"asat:3", "asat:6", "asat:1", "over:1", "nsdp:1",
+                          "cyclic:1", "ring:1", "nsdp", "foo:3", ":5", "foo"})
+    EXPECT_THROW((void)spec_size(bad), std::invalid_argument) << bad;
+  EXPECT_THROW((void)make_by_spec("asat:3"), std::invalid_argument);
+  EXPECT_FALSE(make_by_spec("foo:3").has_value());
+  for (const char* ok : {"asat:2", "asat:16", "over:2", "nsdp:2", "rw:1",
+                         "diamond:1", "chain:1", "cyclic:2", "ring:2"}) {
+    EXPECT_GT(spec_size(ok), 0u) << ok;
+    EXPECT_TRUE(make_by_spec(ok).has_value()) << ok;
+  }
+}
+
 class SafenessCheck
     : public ::testing::TestWithParam<std::pair<const char*, PetriNet>> {};
 

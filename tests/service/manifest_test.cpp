@@ -84,6 +84,28 @@ TEST(Manifest, MalformedLinesAreHardErrors) {
   EXPECT_THROW((void)parse_job_line("   "), ManifestError);
 }
 
+// A built-in spec that names no family, or a size its family cannot build,
+// is rejected while parsing, before any net is built: ERR on serve and
+// exit 2 for a manifest, the same as `julie --model`.
+TEST(Manifest, InvalidBuiltInSpecsAreParseErrors) {
+  for (const char* bad :
+       {"asat:3", "asat:6", "over:1", "nsdp:1", "cyclic:1", "ring:1",
+        "foo:3", ":5", "nsdp", "CHECK"}) {
+    try {
+      (void)parse_job_line(bad, 4);
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const ManifestError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("line 4"), std::string::npos) << what;
+      EXPECT_NE(what.find(bad), std::string::npos) << what;
+    }
+  }
+  for (const char* ok : {"asat:2", "asat:8", "over:2", "nsdp:2", "rw:1",
+                         "diamond:1", "chain:1", "cyclic:2", "ring:2",
+                         "fig3", "fig7:5", "missing.net", "x.pnml"})
+    EXPECT_EQ(parse_job_line(ok).model, ok);
+}
+
 TEST(Manifest, ErrorsCarryTheLineNumber) {
   std::istringstream in("fig7\nrw:4 engines=nosuch\n");
   try {

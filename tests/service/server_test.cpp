@@ -68,7 +68,9 @@ TEST(Server, ChecksYieldVerdictsAndBye) {
 }
 
 TEST(Server, JobAckAlwaysPrecedesItsVerdict) {
-  auto lines = run_server("CHECK nosuch:9\nCHECK fig7\nQUIT\n");
+  // A net file that does not exist passes the parse and fails to load: an
+  // error job, acked like any other.
+  auto lines = run_server("CHECK missing.net\nCHECK fig7\nQUIT\n");
   std::map<int, std::size_t> ack_at, verdict_at;
   for (std::size_t i = 0; i < lines.size(); ++i) {
     if (lines[i].rfind("JOB ", 0) == 0)
@@ -80,7 +82,7 @@ TEST(Server, JobAckAlwaysPrecedesItsVerdict) {
   ASSERT_EQ(verdict_at.size(), 2u);
   for (const auto& [id, pos] : ack_at)
     EXPECT_LT(pos, verdict_at.at(id)) << "JOB " << id << " after its VERDICT";
-  // The bad model is an error verdict, not a dropped request.
+  // The unloadable net is an error verdict, not a dropped request.
   EXPECT_NE(verdicts(lines)[0].find(" error "), std::string::npos);
 }
 
@@ -108,6 +110,27 @@ TEST(Server, MalformedLinesGetErrAndDoNotKillTheSession) {
       << errs[5];
   ASSERT_EQ(verdicts(lines).size(), 1u);
   EXPECT_EQ(lines.back(), "BYE 1");
+}
+
+TEST(Server, SpecsNoFamilyBuildsGetErrNotAJob) {
+  auto lines = run_server(
+      "CHECK asat:3\nCHECK over:1\nCHECK nsdp:1\nCHECK foo:3\nCHECK :5\n"
+      "QUIT\n");
+  std::vector<std::string> errs;
+  for (const std::string& l : lines) {
+    EXPECT_NE(l.rfind("JOB ", 0), 0u) << l;
+    if (l.rfind("ERR", 0) == 0) errs.push_back(l);
+  }
+  ASSERT_EQ(errs.size(), 5u);
+  EXPECT_NE(errs[0].find("model 'asat:3': asat needs a power-of-two size >= 2"),
+            std::string::npos)
+      << errs[0];
+  EXPECT_NE(errs[1].find("model 'over:1': over needs a size >= 2"),
+            std::string::npos)
+      << errs[1];
+  EXPECT_NE(errs[3].find("unknown model 'foo:3'"), std::string::npos)
+      << errs[3];
+  EXPECT_EQ(lines.back(), "BYE 0");
 }
 
 TEST(Server, EofDrainsLikeQuit) {
