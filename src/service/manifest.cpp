@@ -26,18 +26,17 @@ std::vector<std::string> split(const std::string& s, char sep) {
   return out;
 }
 
+/// "line N: what"; parse_manifest() puts "manifest " in front, so a serve
+/// CHECK reply names its session line and a manifest error its file line.
 [[noreturn]] void fail(std::size_t line_no, const std::string& what) {
-  std::ostringstream msg;
-  msg << "manifest";
-  if (line_no > 0) msg << " line " << line_no;
-  msg << ": " << what;
-  throw ManifestError(msg.str());
+  if (line_no == 0) throw ManifestError(what);
+  throw ManifestError("line " + std::to_string(line_no) + ": " + what);
 }
 
 }  // namespace
 
 const std::vector<std::string>& default_portfolio() {
-  static const std::vector<std::string> kDefault = {"gpo-intern", "por", "bdd",
+  static const std::vector<std::string> kDefault = {"por", "gpo-intern", "bdd",
                                                     "unfold"};
   return kDefault;
 }
@@ -117,13 +116,17 @@ Manifest parse_manifest(std::istream& in) {
     if (first == std::string::npos) continue;
     std::size_t last = line.find_last_not_of(" \t\r");
     std::string trimmed = line.substr(first, last - first + 1);
-    // Manifest-level directive, not a job: the event-log destination.
-    if (trimmed.compare(0, 7, "events=") == 0) {
-      if (trimmed.size() == 7) fail(line_no, "events= names no file");
-      m.events_path = trimmed.substr(7);
-      continue;
+    try {
+      // Manifest-level directive, not a job: the event-log destination.
+      if (trimmed.compare(0, 7, "events=") == 0) {
+        if (trimmed.size() == 7) fail(line_no, "events= names no file");
+        m.events_path = trimmed.substr(7);
+        continue;
+      }
+      m.jobs.push_back(parse_job_line(line, line_no));
+    } catch (const ManifestError& e) {
+      throw ManifestError(std::string("manifest ") + e.what());
     }
-    m.jobs.push_back(parse_job_line(line, line_no));
   }
   return m;
 }

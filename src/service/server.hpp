@@ -18,7 +18,9 @@
 //   server -> client
 //     READY <pool-threads> <engines-csv>           # once, at startup
 //     JOB <id>                                     # ack: CHECK was accepted
-//     ERR <message>                                # the CHECK was malformed
+//     ERR <message>                                # the CHECK was malformed:
+//                                                  #   "line N: ..." names the
+//                                                  #   session line
 //     VERDICT <id> <verdict> winner=<w> seconds=<s> cancel-latency=<s>
 //     STATS <one-line JSON>                        # uptime, job counts,
 //                                                  #   queue depth, peak RSS,
@@ -28,6 +30,10 @@
 //     JOBS <one-line JSON array>                   # [{id,model,state,...}]
 //     HEALTH <one-line JSON>                       # {"status":"ok",...}
 //     BYE <jobs-completed>                         # once, after QUIT / EOF
+//
+// The net loads on a pool worker, so a CHECK naming a file that cannot be
+// read is acked with JOB and answered by an "error" VERDICT carrying the
+// loader's message.
 //
 // A finished job keeps only its verdict record (id, model, verdict, winner,
 // error, expect match, seconds, cancel latency): the VERDICT line is printed

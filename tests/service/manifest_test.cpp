@@ -112,7 +112,8 @@ TEST(Manifest, ErrorsCarryTheLineNumber) {
     (void)parse_manifest(in);
     FAIL() << "expected ManifestError";
   } catch (const ManifestError& e) {
-    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+    EXPECT_NE(std::string(e.what()).find("manifest line 2"),
+              std::string::npos)
         << e.what();
   }
 }

@@ -86,6 +86,21 @@ TEST(Server, JobAckAlwaysPrecedesItsVerdict) {
   EXPECT_NE(verdicts(lines)[0].find(" error "), std::string::npos);
 }
 
+/// The net loads on a pool worker, after the JOB ack: a file that cannot be
+/// read still ends as an error verdict carrying the loader's message, once,
+/// however many racers saw the failure.
+TEST(Server, UnloadableNetIsAnErrorVerdictAfterItsJobLine) {
+  auto lines = run_server(
+      "CHECK missing.net engines=por,bdd,unfold,gpo reduce=safe\nQUIT\n", 4);
+  ASSERT_EQ(lines.size(), 4u);
+  EXPECT_EQ(lines[1], "JOB 0");
+  EXPECT_EQ(lines[2].rfind("VERDICT 0 error winner=- ", 0), 0u) << lines[2];
+  EXPECT_NE(lines[2].find("error=\"cannot open net file: missing.net\""),
+            std::string::npos)
+      << lines[2];
+  EXPECT_EQ(lines[3], "BYE 1");
+}
+
 TEST(Server, MalformedLinesGetErrAndDoNotKillTheSession) {
   auto lines = run_server(
       "PING\n"
@@ -122,6 +137,13 @@ TEST(Server, SpecsNoFamilyBuildsGetErrNotAJob) {
     if (l.rfind("ERR", 0) == 0) errs.push_back(l);
   }
   ASSERT_EQ(errs.size(), 5u);
+  // A reply names its session line; the session has no manifest.
+  for (std::size_t i = 0; i < errs.size(); ++i) {
+    EXPECT_EQ(errs[i].rfind("ERR line " + std::to_string(i + 1) + ": ", 0),
+              0u)
+        << errs[i];
+    EXPECT_EQ(errs[i].find("manifest"), std::string::npos) << errs[i];
+  }
   EXPECT_NE(errs[0].find("model 'asat:3': asat needs a power-of-two size >= 2"),
             std::string::npos)
       << errs[0];
